@@ -17,6 +17,15 @@ discrete analogue:
 * the discount integral of the spot rate uses the trapezoid rule;
 * state and income paths advance by left-endpoint Euler steps.
 
+Each convention has one implementation: ``_euler_step`` is the only
+full-truncation Euler update (chunked simulation, the coupled coarse grids
+and the nested budget simulation call it); ``_log_exp_martingale`` is the
+left-point density with one coefficient per step on the traded shock, used
+by the forward-measure premium and the terminal deflator of
+:mod:`ivoleq.terminal`; ``_Moments`` is the one mean and standard-error
+accumulator, taking antithetic pair means as the sample unit and merging
+chunks by the pairwise update of Chan, Golub and LeVeque (1979).
+
 The mismatch between the trapezoid discount and the left-endpoint
 consumption drift telescopes into a first-order-condition residual of
 exactly ``(dt / 2) * (r_t - r_0)`` per unit tolerance, which is what the
@@ -38,6 +47,7 @@ from numpy.typing import NDArray
 from ivoleq.equilibrium import (
     annuity_price,
     bond_price,
+    discrete_mpr,
     optimal_consumption_coeffs,
     quad_nodes,
 )
@@ -118,7 +128,7 @@ class McEstimate:
     measure: str
 
     def z(self, target: float = 0.0) -> float:
-        """Standardized distance from ``target``; infinite if SE is zero."""
+        """Standardized distance from ``target``; with zero SE, 0 at the target, else infinite."""
         if self.standard_error == 0.0:
             return 0.0 if self.value == target else math.inf
         return (self.value - target) / self.standard_error
@@ -167,22 +177,11 @@ class _SimContext:
             raise ValueError("antithetic sampling needs an even n_paths")
 
     def chunk_counts(self) -> list[int]:
-        paired = self.sim.antithetic and self.sim.scheme == "euler"
-        if paired:
-            unit = max(2, self.sim.chunk_size - self.sim.chunk_size % 2)
-            total = self.sim.n_paths
-        else:
-            unit = self.sim.chunk_size
-            total = self.sim.n_paths
-        counts = []
-        left = total
-        while left > 0:
-            take = min(unit, left)
-            if paired and take % 2:
-                take -= 1  # unreachable for even totals; keeps pairs aligned
-            counts.append(take)
-            left -= take
-        return counts
+        unit = self.sim.chunk_size
+        if self.sim.antithetic and self.sim.scheme == "euler":
+            unit -= unit % 2  # mirrored pairs never straddle two chunks
+        full, rest = divmod(self.sim.n_paths, unit)
+        return [unit] * full + ([rest] if rest else [])
 
 
 class PathBundle:
@@ -322,6 +321,30 @@ class PathBundle:
         return out
 
 
+def _euler_step(vol, x, kappa, dt, dW):
+    """One full-truncation Euler step of the variance state.
+
+    The raw state ``x`` may dip below zero but only its positive part enters
+    drift and diffusion.  Returns the next raw state, the clipped current
+    state and its square root.
+    """
+    vp = np.maximum(x, 0.0)
+    root = np.sqrt(vp)
+    return x + (vol.mu_v + kappa * vp) * dt + vol.sigma_v * root * dW, vp, root
+
+
+def _euler_bundle(ctx: _SimContext, dW, z_seed=None, antithetic_pairs=False) -> PathBundle:
+    """Euler bundle on the context's grid; only the clipped state is stored."""
+    vol = ctx.econ.vol
+    x = np.full(dW.shape[0], vol.v0)
+    v = np.empty((dW.shape[0], dW.shape[1] + 1))
+    v[:, 0] = vol.v0
+    for k in range(dW.shape[1]):
+        x, _, _ = _euler_step(vol, x, ctx.kappa_grid[k], ctx.dt, dW[:, k])
+        v[:, k + 1] = np.maximum(x, 0.0)
+    return PathBundle(ctx, v, dW, z_seed, antithetic_pairs)
+
+
 def _simulate_chunk(ctx: _SimContext, seed, m: int) -> PathBundle:
     w_seed, z_seed = seed.spawn(2)
     gen = np.random.Generator(np.random.Philox(w_seed))
@@ -346,24 +369,12 @@ def _simulate_chunk(ctx: _SimContext, seed, m: int) -> PathBundle:
             v[:, k + 1] = gen.noncentral_chisquare(df, nonc) / (2.0 * c)
         return PathBundle(ctx, v, None, z_seed, antithetic_pairs=False)
 
-    paired = ctx.sim.antithetic
-    if paired:
-        half = m // 2
-        base = gen.standard_normal((half, K))
+    if ctx.sim.antithetic:
+        base = gen.standard_normal((m // 2, K))
         dW = math.sqrt(dt) * np.concatenate([base, -base], axis=0)
     else:
         dW = math.sqrt(dt) * gen.standard_normal((m, K))
-
-    # full-truncation Euler: the raw state may dip below zero but only its
-    # positive part enters drift and diffusion, and only that part is kept
-    x = np.full(m, vol.v0)
-    v = np.empty((m, K + 1))
-    v[:, 0] = vol.v0
-    for k in range(K):
-        vp = np.maximum(x, 0.0)
-        x = x + (vol.mu_v + ctx.kappa_grid[k] * vp) * dt + vol.sigma_v * np.sqrt(vp) * dW[:, k]
-        v[:, k + 1] = np.maximum(x, 0.0)
-    return PathBundle(ctx, v, dW, z_seed, antithetic_pairs=paired)
+    return _euler_bundle(ctx, dW, z_seed, antithetic_pairs=ctx.sim.antithetic)
 
 
 def _iter_chunks(ctx: _SimContext):
@@ -387,26 +398,68 @@ def simulate(
     return _simulate_chunk(ctx, seed, sim.n_paths)
 
 
-def _reduce(ctx: _SimContext, pathwise) -> McEstimate:
-    """Stream chunks through a per-path functional and pool mean and SE.
+class _Moments:
+    """Streaming mean and standard error over the last axis of each sample.
 
-    With antithetic pairing the sample unit is the pair mean, which keeps
-    the standard error honest for the correlated mirrored paths.
+    A paired sample holds antithetic mirrors in its two halves and its pair
+    means are the sample unit.  The mean is the running sum over the count.
+    Squared deviations are taken in two passes about a fixed shift (the
+    first sample's mean) and merged by the pairwise update of Chan, Golub
+    and LeVeque (1979), so nothing cancels when the mean is large against
+    the spread.
     """
-    n = 0
-    total = 0.0
-    total_sq = 0.0
+
+    def __init__(self) -> None:
+        self.n = 0
+        self.total = np.zeros(())
+        self.shift = None
+        self.shifted_total = np.zeros(())
+        self.m2 = np.zeros(())
+
+    @property
+    def mean(self):
+        return self.total / max(self.n, 1)
+
+    def add(self, vals, paired: bool = False) -> None:
+        vals = np.asarray(vals, dtype=float)
+        if paired:
+            half = vals.shape[-1] // 2
+            vals = 0.5 * (vals[..., :half] + vals[..., half:])
+        if self.shift is None:
+            self.shift = vals.mean(axis=-1, keepdims=True)
+        k = vals.shape[-1]
+        y = vals - self.shift
+        y_mean = y.mean(axis=-1)
+        dev = y - y_mean[..., None]
+        delta = y_mean - self.shifted_total / max(self.n, 1)
+        self.m2 = self.m2 + (dev * dev).sum(axis=-1) + delta * delta * (self.n * k / (self.n + k))
+        self.total = self.total + vals.sum(axis=-1)
+        self.shifted_total = self.shifted_total + y.sum(axis=-1)
+        self.n += k
+
+    def estimate(self, sim: SimConfig, j=()) -> McEstimate:
+        """Estimate of row ``j`` (of the only row for one-dimensional samples)."""
+        se = np.sqrt(self.m2 / max(self.n - 1, 1) / self.n)
+        return McEstimate(float(self.mean[j]), float(se[j]), sim.n_paths, sim.measure)
+
+
+def _reduce(ctx: _SimContext, pathwise) -> McEstimate:
+    """Stream chunks through a per-path functional into one estimate."""
+    acc = _Moments()
     for bundle in _iter_chunks(ctx):
-        vals = np.asarray(pathwise(bundle), dtype=float)
-        if bundle.antithetic_pairs:
-            half = vals.shape[0] // 2
-            vals = 0.5 * (vals[:half] + vals[half:])
-        n += vals.size
-        total += float(vals.sum())
-        total_sq += float(vals @ vals)
-    mean = total / n
-    var = max(total_sq - n * mean * mean, 0.0) / max(n - 1, 1)
-    return McEstimate(mean, math.sqrt(var / n), ctx.sim.n_paths, ctx.sim.measure)
+        acc.add(pathwise(bundle), bundle.antithetic_pairs)
+    return acc.estimate(ctx.sim)
+
+
+def _log_exp_martingale(bundle: PathBundle, coeff) -> NDArray[np.float64]:
+    """Terminal log of the left-point exponential martingale, per path.
+
+    ``coeff`` holds one deterministic coefficient per step; the martingale
+    loads ``-coeff * sqrt(v)`` on the traded shock.
+    """
+    vp = bundle.v[:, :-1]
+    stoch = (np.sqrt(vp) * bundle._need_dw()) @ coeff
+    return -stoch - 0.5 * ((vp * bundle.dt) @ (coeff**2))
 
 
 # ---------------------------------------------------------------------------
@@ -561,54 +614,25 @@ def mc_risk_premium(
     )
     riskless = (1.0 - b_0U) / b_0U
     ctx = _SimContext(econ, _require_measure(sim, "P"), U)
+    # the forward-measure density loads the discrete price of risk
+    coeff = discrete_mpr(sol, agg, ctx.times[:-1], U)
 
-    mpr_sol = solve_closed_form(market_coeffs(agg), max(U, ctx.dt))
-
-    def density(b: PathBundle):
-        # forward-measure density: exponential martingale loading the
-        # discrete price-of-risk coefficient on the traded shock
-        coeff = agg.mpr_loading - agg.vol.sigma_v * mpr_sol.eval_b(
-            np.maximum(U - b.times[:-1], 0.0)
-        )
-        root = np.sqrt(b.v[:, :-1])
-        log_m = -(coeff * root * b.dW).sum(axis=1) - 0.5 * (
-            coeff**2 * b.v[:, :-1]
-        ).sum(axis=1) * b.dt
-        return np.exp(log_m)
-
-    n = 0
-    s_r = s_rr = s_m = s_x = s_mx = s_d = s_dd = 0.0
+    excess = _Moments()  # simple excess return and identity gap
+    raw = _Moments()  # density, value and their product, path by path
     for bundle in _iter_chunks(ctx):
         x_U = _terminal_security_values(bundle, sol, security, U)
-        m = density(bundle)
+        m = np.exp(_log_exp_martingale(bundle, coeff))
         ret = (x_U - x0) / x0 - riskless
         d = m * x_U / x0 - 1.0 / b_0U
-        if bundle.antithetic_pairs:
-            half = ret.shape[0] // 2
-            ret = 0.5 * (ret[:half] + ret[half:])
-            d = 0.5 * (d[:half] + d[half:])
-        n += ret.size
-        s_r += ret.sum()
-        s_rr += ret @ ret
-        s_d += d.sum()
-        s_dd += d @ d
-        s_m += m.sum()
-        s_x += x_U.sum()
-        s_mx += m @ x_U
-
-    def est(total, total_sq, count):
-        mean = total / count
-        var = max(total_sq - count * mean * mean, 0.0) / max(count - 1, 1)
-        return McEstimate(mean, math.sqrt(var / count), ctx.sim.n_paths, "P")
-
-    n_raw = ctx.sim.n_paths
-    cov = s_mx / n_raw - (s_m / n_raw) * (s_x / n_raw)
+        excess.add(np.stack([ret, d]), bundle.antithetic_pairs)
+        raw.add(np.stack([m, x_U, m * x_U]))
+    mean_m, mean_x, mean_mx = raw.mean
     return RiskPremiumReport(
         security=security,
         U=U,
-        premium=est(s_r, s_rr, n),
-        covariance_side=-cov / x0,
-        identity_gap=est(s_d, s_dd, n),
+        premium=excess.estimate(ctx.sim, 0),
+        covariance_side=float(-(mean_mx - mean_m * mean_x) / x0),
+        identity_gap=excess.estimate(ctx.sim, 1),
     )
 
 
@@ -672,32 +696,19 @@ def solve_multipliers(econ: EconomyParams, sim: SimConfig) -> MultiplierSolution
     a Monte Carlo annuity check.
     """
     ctx = _SimContext(econ, _require_measure(sim, "P"), econ.horizon)
-    n_inv = econ.n_investors
-    n = 0
-    sum_a = sq_a = 0.0
-    sum_c = np.zeros(n_inv)
+    # row 0: deflated annuity; row 1 + i: deflated consumption increments of investor i
+    acc = _Moments()
     for bundle in _iter_chunks(ctx):
         xi = bundle.xi_min()
         trap_w = np.full(bundle.n_steps + 1, bundle.dt)
         trap_w[0] = trap_w[-1] = 0.5 * bundle.dt
-        a_vals = xi @ trap_w
-        c_vals = np.stack(
-            [(xi * bundle.consumption_cum(i)) @ trap_w for i in range(n_inv)]
-        )
-        if bundle.antithetic_pairs:
-            half = a_vals.shape[0] // 2
-            a_vals = 0.5 * (a_vals[:half] + a_vals[half:])
-            c_vals = 0.5 * (c_vals[:, :half] + c_vals[:, half:])
-        n += a_vals.size
-        sum_a += a_vals.sum()
-        sq_a += a_vals @ a_vals
-        sum_c += c_vals.sum(axis=1)
+        rows = [xi @ trap_w]
+        rows += [(xi * bundle.consumption_cum(i)) @ trap_w for i in range(econ.n_investors)]
+        acc.add(np.stack(rows), bundle.antithetic_pairs)
 
-    mean_a = sum_a / n
-    var_a = max(sq_a - n * mean_a**2, 0.0) / max(n - 1, 1)
     agg = ctx.agg
     x0 = np.array([inv.X0 for inv in econ.investors])
-    c0 = (x0 - sum_c / n) / mean_a
+    c0 = (x0 - acc.mean[1:]) / acc.mean[0]
     y0 = np.array([inv.Y0 for inv in econ.investors])
     tau = np.array([inv.tau for inv in econ.investors])
     alpha = np.exp(-(c0 + y0) / tau) / tau
@@ -705,7 +716,7 @@ def solve_multipliers(econ: EconomyParams, sim: SimConfig) -> MultiplierSolution
     return MultiplierSolution(
         c0=c0,
         alpha=alpha,
-        annuity_mc=McEstimate(mean_a, math.sqrt(var_a / n), ctx.sim.n_paths, "P"),
+        annuity_mc=acc.estimate(ctx.sim, 0),
         annuity_closed=annuity_price(sol, 0.0, agg.vol.v0, econ.horizon),
     )
 
@@ -801,35 +812,14 @@ def foc_order(
             K = fine.n_steps // factor
             dW = fine.dW.reshape(fine.n_paths, K, factor).sum(axis=2)
             dZ = fine.dZ.reshape(fine.dZ.shape[0], fine.n_paths, K, factor).sum(axis=3)
-            bundle = _rebuild_euler(
-                econ, replace(sim, steps_per_year=steps, measure="P"), dW, dZ=dZ
-            )
+            ctx = _SimContext(econ, replace(sim, steps_per_year=steps, measure="P"), econ.horizon)
+            bundle = _euler_bundle(ctx, dW)
+            bundle._dZ = dZ
         r_ins, _ = _foc_residuals(bundle, investor, 0.0)
         levels.append(steps)
         residuals.append(float(np.abs(r_ins[:, -1]).mean()))
     fit = np.polyfit(np.log2(levels), np.log2(residuals), 1)
     return FocOrderReport(tuple(levels), tuple(residuals), float(-fit[0]))
-
-
-def _rebuild_euler(
-    econ, sim: SimConfig, dW, horizon: float | None = None, dZ=None
-) -> PathBundle:
-    """Euler bundle from externally supplied increments (coupling helper)."""
-    ctx = _SimContext(econ, sim, econ.horizon if horizon is None else horizon)
-    m, K = dW.shape
-    if K != ctx.n_steps:
-        raise ValueError(f"increments have {K} steps, grid wants {ctx.n_steps}")
-    vol = econ.vol
-    x = np.full(m, vol.v0)
-    v = np.empty((m, K + 1))
-    v[:, 0] = vol.v0
-    for k in range(K):
-        vp = np.maximum(x, 0.0)
-        x = x + (vol.mu_v + ctx.kappa_grid[k] * vp) * ctx.dt + vol.sigma_v * np.sqrt(vp) * dW[:, k]
-        v[:, k + 1] = np.maximum(x, 0.0)
-    bundle = PathBundle(ctx, v, dW, None, antithetic_pairs=False)
-    bundle._dZ = dZ
-    return bundle
 
 
 # ---------------------------------------------------------------------------
@@ -845,28 +835,12 @@ def martingale_checks(econ: EconomyParams, sim: SimConfig) -> list[tuple[str, Mc
     ctx = _SimContext(econ, _require_measure(sim, "P"), econ.horizon)
     n_inv = econ.n_investors
     labels = ["pricing_density"] + [f"belief_density_{i}" for i in range(n_inv)]
-    n = 0
-    sums = np.zeros(1 + n_inv)
-    sq = np.zeros(1 + n_inv)
-    n_eff = 0
+    acc = _Moments()
     for bundle in _iter_chunks(ctx):
         vals = [np.exp(bundle.log_density_min()[:, -1])]
         vals += [np.exp(bundle.log_belief_density(i)[:, -1]) for i in range(n_inv)]
-        mat = np.stack(vals)
-        if bundle.antithetic_pairs:
-            half = mat.shape[1] // 2
-            mat = 0.5 * (mat[:, :half] + mat[:, half:])
-        n_eff += mat.shape[1]
-        sums += mat.sum(axis=1)
-        sq += (mat * mat).sum(axis=1)
-    out = []
-    for j, label in enumerate(labels):
-        mean = sums[j] / n_eff
-        var = max(sq[j] - n_eff * mean**2, 0.0) / max(n_eff - 1, 1)
-        out.append(
-            (label, McEstimate(mean, math.sqrt(var / n_eff), ctx.sim.n_paths, "P"))
-        )
-    return out
+        acc.add(np.stack(vals), bundle.antithetic_pairs)
+    return [(label, acc.estimate(ctx.sim, j)) for j, label in enumerate(labels)]
 
 
 @dataclass(frozen=True)
@@ -904,26 +878,22 @@ def weak_convergence_study(
     agg = require_valid(econ)
     sol = solve_closed_form(market_coeffs(agg), max(U, 1e-9))
     exact = bond_price(sol, 0.0, U, agg.vol.v0)
-    fine_steps = sim.steps_per_year * 2**doublings
     base = replace(sim, measure="Qmin", scheme="euler")
-    ctx_f = _SimContext(econ, replace(base, steps_per_year=fine_steps), U)
+    ctxs = [
+        _SimContext(econ, replace(base, steps_per_year=sim.steps_per_year * 2**level), U)
+        for level in range(doublings + 1)
+    ]
 
     sums = np.zeros(doublings + 1)
     n = 0
-    for bundle in _iter_chunks(ctx_f):
-        for level in range(doublings + 1):
+    for bundle in _iter_chunks(ctxs[-1]):
+        for level, ctx in enumerate(ctxs):
             factor = 2 ** (doublings - level)
             if factor == 1:
                 lv = bundle
             else:
                 K = bundle.n_steps // factor
-                dW = bundle.dW.reshape(bundle.n_paths, K, factor).sum(axis=2)
-                lv = _rebuild_euler(
-                    econ,
-                    replace(base, steps_per_year=sim.steps_per_year * 2**level),
-                    dW,
-                    horizon=U,
-                )
+                lv = _euler_bundle(ctx, bundle.dW.reshape(bundle.n_paths, K, factor).sum(axis=2))
             sums[level] += float(np.exp(-lv.int_rate()[:, -1]).sum())
         n += bundle.n_paths
     means = sums / n
@@ -1051,11 +1021,9 @@ def _nested_budget_tail(
     trap_c = np.zeros(m)  # cum-increments start at zero
     for k in range(K):
         dW = math.sqrt(dt) * gen.standard_normal(m)
-        vp = np.maximum(x, 0.0)
-        root = np.sqrt(vp)
+        x, vp, root = _euler_step(vol, x, vol.kappa_v, dt, dW)
         log_mart -= mpr * root * dW + 0.5 * mpr**2 * vp * dt
         c_inc = c_inc + (coeffs.drift_const + coeffs.drift_v * vp) * dt + coeffs.diffusion * root * dW
-        x = x + (vol.mu_v + vol.kappa_v * vp) * dt + vol.sigma_v * root * dW
         r_new = agg.rate_intercept + agg.rate_slope * np.maximum(x, 0.0)
         int_r = int_r + 0.5 * (r_prev + r_new) * dt
         r_prev = r_new

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import SimConfig, simulate
+from .dynamics import SimConfig, _log_exp_martingale, simulate
 from .equilibrium import QUAD_NODES_PER_PANEL, discrete_mpr, quad_nodes
 from .model import AggregateParams, EconomyParams, require_valid
 from .riccati import RiccatiSolution, market_coeffs, solve_closed_form
@@ -140,20 +140,6 @@ class TerminalClearingReport:
     dt: float
 
 
-def _log_terminal_deflator(bundle, sol: RiccatiSolution, agg: AggregateParams):
-    """Terminal log deflator with the time-dependent coefficient schedule.
-
-    Left-point sums in both the stochastic and the time integral, matching
-    the discretization of every other exponential-martingale functional.
-    """
-    T = bundle.times[-1]
-    m = terminal_mpr(sol, agg, bundle.times[:-1], T)
-    vp = bundle.v[:, :-1]
-    stoch = (np.sqrt(vp) * bundle.dW) @ m
-    time_part = (vp * bundle.dt) @ (m**2)
-    return -stoch - 0.5 * time_part
-
-
 def solve_terminal_multipliers(
     econ: EconomyParams, sim: SimConfig, bundle=None
 ) -> TerminalMultipliers:
@@ -170,7 +156,7 @@ def solve_terminal_multipliers(
     sol = solve_closed_form(market_coeffs(agg), econ.horizon)
     if bundle is None:
         bundle = simulate(econ, sim)
-    log_xi = _log_terminal_deflator(bundle, sol, agg)
+    log_xi = _log_exp_martingale(bundle, terminal_mpr(sol, agg, bundle.times[:-1], econ.horizon))
     xi = np.exp(log_xi)
     xi_mean = float(xi.mean())
     xi_log = float((xi * log_xi).mean())
@@ -208,7 +194,7 @@ def verify_terminal_clearing(
     sol = solve_closed_form(market_coeffs(agg), econ.horizon)
     bundle = simulate(econ, sim)
     mult = solve_terminal_multipliers(econ, sim, bundle=bundle)
-    log_xi = _log_terminal_deflator(bundle, sol, agg)
+    log_xi = _log_exp_martingale(bundle, terminal_mpr(sol, agg, bundle.times[:-1], econ.horizon))
     total = np.zeros(bundle.n_paths)
     for i, inv in enumerate(econ.investors):
         income_end = bundle.income_paths(i)[1][:, -1]

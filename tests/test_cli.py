@@ -27,6 +27,16 @@ BAD_FELLER = """
 }
 """
 
+# passes validate, but the slope exponent explodes at s = 1.888 < horizon
+EXPLODING = """
+{
+  "vol": {"mu_v": 0.05, "kappa_v": 3.0, "sigma_v": 0.3, "v0": 1.0},
+  "horizon_T": 5.0,
+  "investor": {"tau": 0.5, "sigma_Y": 0.3, "beta_Y": 0.6},
+  "replicate": 2
+}
+"""
+
 
 class TestTables:
     def test_table1_golden_bytes(self, tmp_path):
@@ -115,6 +125,17 @@ class TestVerifyCommands:
         out = capsys.readouterr().out
         assert "clearing_max_residual" in out
 
+    @pytest.mark.parametrize(
+        ("suite", "n_checks"), [("martingale", 3), ("multipliers", 2)]
+    )
+    def test_shared_call_time_split_evenly(self, capsys, suite, n_checks):
+        rc = main(["verify", CONFIG, "--suite", suite, "--n-paths", "500", "--format", "json"])
+        assert rc == 0
+        elapsed = [c["elapsed"] for c in json.loads(capsys.readouterr().out)["checks"]]
+        assert len(elapsed) == n_checks
+        assert elapsed[0] > 0.0
+        assert elapsed == [elapsed[0]] * n_checks
+
     def test_terminal_command(self, capsys):
         rc = main(["terminal", CONFIG, "--n-paths", "400"])
         assert rc == 0
@@ -148,3 +169,14 @@ class TestExitCodes:
         )
         with pytest.raises(SystemExit):
             main(["table1", str(cfg)])
+
+    def test_exploding_exponent_is_a_typed_exit(self, tmp_path, capsys):
+        cfg = tmp_path / "exploding.json"
+        cfg.write_text(EXPLODING)
+        assert main(["validate", str(cfg)]) == 0
+        capsys.readouterr()
+        for command in ("curves", "table1"):
+            assert main([command, str(cfg)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("cannot compute: slope exponent explodes")
+            assert err.count("\n") == 1
