@@ -27,6 +27,7 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_EVEN, Decimal
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -329,32 +330,79 @@ def _timed(fn, *args, **kwargs):
 def _verify_suite(econ: EconomyParams, suite: str, seed: int, n_paths: int) -> list[CheckLine]:
     """Run the checks of one suite.
 
-    Each library call is timed once; a call that feeds several checks
-    splits its time evenly among them, so the ``elapsed`` fields sum to the
-    suite's library time.
+    Checks whose estimators read the same path stream share one chunk loop,
+    so each distinct stream is generated once.  Each library call is timed
+    once; a call that feeds several checks splits its time evenly among
+    them, so the ``elapsed`` fields sum to the suite's library time.
     """
     from . import dynamics as dyn
 
     agg = derive_aggregates(econ)
     sol, _ = solve_pair(agg)
-    horizon = econ.horizon
-    checks: list[CheckLine] = []
+    horizon, v0 = econ.horizon, econ.vol.v0
+
+    def want(name: str) -> bool:
+        return suite in (name, "all")
 
     def sim(**over) -> SimConfig:
         base = dict(n_paths=n_paths, seed=seed, antithetic=False)
         base.update(over)
         return SimConfig(**base)
 
-    if suite in ("bond", "all"):
-        closed = bond_price(sol, 0.0, horizon, econ.vol.v0)
+    full, half = sim(), horizon / 2.0
+    done: dict[str, tuple[object, float]] = {}  # result and per-check time, by source
+
+    def stream(*sources) -> None:
+        """One chunk loop for the chosen (name, plan builder, checks fed) sources."""
+        sources = [(name, build, k) for name, build, k, chosen in sources if chosen]
+        if not sources:
+            return
+        t0 = time.perf_counter()
+        outs = dyn._run(*(build() for _, build, _ in sources))
+        share = (time.perf_counter() - t0) / sum(k for _, _, k in sources)
+        done.update((name, (out, share)) for (name, _, _), out in zip(sources, outs))
+
+    # the stream with the largest working set runs first: the later, smaller
+    # ones then fit in memory the process already holds
+    stream(
+        ("martingale", partial(dyn._martingale_plan, econ, full), econ.n_investors + 1,
+         want("martingale")),
+        ("multipliers", partial(dyn._multipliers_plan, econ, full), 2, want("multipliers")),
+    )
+    stream(
+        ("bond_euler", partial(dyn._bond_plan, econ, horizon, full), 1, want("bond")),
+        ("annuity", partial(dyn._annuity_plan, econ, full), 1, want("bond")),
+    )
+    if want("bond"):
+        done["bond_exact"] = _timed(dyn.mc_bond_price, econ, horizon, sim(scheme="exact"))
+    pathwise = [name for name in ("clearing", "foc") if want(name)]
+    if pathwise:
+        t0 = time.perf_counter()
+        bundle = dyn.simulate(econ, sim(n_paths=min(n_paths, 2000)))
+        reports = {"clearing": dyn._clearing_report, "foc": dyn._foc_report}
+        reps = [reports[name](bundle) for name in pathwise]
+        share = (time.perf_counter() - t0) / len(reps)
+        done.update((name, (rep, share)) for name, rep in zip(pathwise, reps))
+    stream(*(
+        (f"forward_{sec}", partial(dyn._forward_plan, econ, half, full, sec), 1, want("forward"))
+        for sec in ("bond", "annuity")
+    ))
+    stream(*(
+        (f"premium_{sec}", partial(dyn._premium_plan, econ, half, sec, full), 1, want("premium"))
+        for sec in ("bond", "annuity")
+    ))
+
+    checks: list[CheckLine] = []
+    if want("bond"):
+        closed = bond_price(sol, 0.0, horizon, v0)
         for scheme in ("euler", "exact"):
-            est, elapsed = _timed(dyn.mc_bond_price, econ, horizon, sim(scheme=scheme))
+            est, elapsed = done[f"bond_{scheme}"]
             checks.append(_z_check(f"bond_{scheme}_vs_closed", est, closed, elapsed))
-        est, elapsed = _timed(dyn.mc_annuity, econ, sim())
-        closed = annuity_price(sol, 0.0, econ.vol.v0, horizon)
+        est, elapsed = done["annuity"]
+        closed = annuity_price(sol, 0.0, v0, horizon)
         checks.append(_z_check("annuity_vs_closed", est, closed, elapsed))
-    if suite in ("clearing", "all"):
-        rep, elapsed = _timed(dyn.verify_clearing, econ, sim(n_paths=min(n_paths, 2000)))
+    if want("clearing"):
+        rep, elapsed = done["clearing"]
         checks.append(
             CheckLine(
                 name="clearing_max_residual",
@@ -364,14 +412,12 @@ def _verify_suite(econ: EconomyParams, suite: str, seed: int, n_paths: int) -> l
                 elapsed=elapsed,
             )
         )
-    if suite in ("forward", "all"):
+    if want("forward"):
         for security in ("bond", "annuity"):
-            est, elapsed = _timed(
-                dyn.verify_forward_measure, econ, horizon / 2.0, sim(), security=security
-            )
+            est, elapsed = done[f"forward_{security}"]
             checks.append(_z_check(f"forward_measure_{security}", est, 0.0, elapsed))
-    if suite in ("foc", "all"):
-        rep, elapsed = _timed(dyn.verify_foc, econ, sim(n_paths=min(n_paths, 2000)))
+    if want("foc"):
+        rep, elapsed = done["foc"]
         checks.append(
             CheckLine(
                 name="foc_max_residual",
@@ -381,16 +427,16 @@ def _verify_suite(econ: EconomyParams, suite: str, seed: int, n_paths: int) -> l
                 elapsed=elapsed,
             )
         )
-    if suite in ("martingale", "all"):
-        ests, elapsed = _timed(dyn.martingale_checks, econ, sim())
+    if want("martingale"):
+        ests, elapsed = done["martingale"]
         for label, est in ests:
-            checks.append(_z_check(label, est, 1.0, elapsed / len(ests)))
-    if suite in ("premium", "all"):
+            checks.append(_z_check(label, est, 1.0, elapsed))
+    if want("premium"):
         for security in ("bond", "annuity"):
-            rep, elapsed = _timed(dyn.mc_risk_premium, econ, horizon / 2.0, security, sim())
+            rep, elapsed = done[f"premium_{security}"]
             checks.append(_z_check(f"premium_identity_{security}", rep.identity_gap, 0.0, elapsed))
-    if suite in ("multipliers", "all"):
-        ms, elapsed = _timed(dyn.solve_multipliers, econ, sim())
+    if want("multipliers"):
+        ms, elapsed = done["multipliers"]
         total = float(abs(np.sum(ms.c0)))
         checks.append(
             CheckLine(
@@ -398,13 +444,11 @@ def _verify_suite(econ: EconomyParams, suite: str, seed: int, n_paths: int) -> l
                 value=total,
                 threshold=1e-12,
                 passed=total <= 1e-12,
-                elapsed=elapsed / 2,
+                elapsed=elapsed,
             )
         )
         checks.append(
-            _z_check(
-                "multiplier_annuity_cross_check", ms.annuity_mc, ms.annuity_closed, elapsed / 2
-            )
+            _z_check("multiplier_annuity_cross_check", ms.annuity_mc, ms.annuity_closed, elapsed)
         )
     if not checks:
         raise SystemExit(f"unknown verification suite: {suite}")

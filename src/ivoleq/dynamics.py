@@ -34,12 +34,21 @@ order-of-convergence check measures.
 Paths are generated in fixed-size chunks, each from its own counter-based
 stream spawned from the run seed, so estimates do not depend on how the
 chunks are scheduled and any chunk can be regenerated in isolation.
+
+Every random block is drawn once, and only when a functional reads it.  A
+chunk's idiosyncratic increments come from one stream, drawn one investor
+block at a time in investor order, so per-investor functionals hold one
+block rather than all investors'; the terminal-wealth checks read only
+insured income and draw none.  Each estimator is a plan of consumers fed by
+``_run``, the one chunk loop; plans that read the same stream share one
+loop, so the ``verify`` command generates each distinct path set once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -190,8 +199,12 @@ class PathBundle:
     ``v`` has shape (paths, steps + 1); increment arrays have shape
     (paths, steps).  ``dW`` holds increments of the Brownian motion of the
     simulation measure and is ``None`` under the exact scheme.  The
-    idiosyncratic increments ``dZ`` are materialized on first access from a
-    dedicated stream, so runs that never touch them do not pay for them.
+    idiosyncratic increments ``dZ`` come from a dedicated stream, drawn one
+    investor block at a time and in investor order, so the per-investor
+    functionals hold one block instead of all investors' and a bundle no
+    functional asks for them never draws them.  The ``dZ`` property draws
+    the whole (investors, paths, steps) block from the same stream; its
+    slices equal the streamed blocks bit for bit.
     """
 
     def __init__(self, ctx: _SimContext, v, dW, z_seed, antithetic_pairs: bool):
@@ -206,6 +219,9 @@ class PathBundle:
         self.antithetic_pairs = antithetic_pairs
         self._z_seed = z_seed
         self._dZ: NDArray[np.float64] | None = None
+        self._z_gen = None  # stream position: the generator after block _z_index
+        self._z_index = -1
+        self._z_block: NDArray[np.float64] | None = None
 
     @property
     def n_paths(self) -> int:
@@ -215,17 +231,39 @@ class PathBundle:
     def n_steps(self) -> int:
         return self.v.shape[1] - 1
 
+    def _z_stream(self) -> np.random.Generator:
+        if self._z_seed is None:
+            raise ValueError("bundle was built without idiosyncratic increments")
+        return np.random.Generator(np.random.Philox(self._z_seed))
+
+    def _draw_dz(self, gen: np.random.Generator, shape) -> NDArray[np.float64]:
+        out = gen.standard_normal(out=np.empty(shape))
+        out *= math.sqrt(self.dt)
+        return out
+
     @property
     def dZ(self) -> NDArray[np.float64]:
         if self._dZ is None:
-            if self._z_seed is None:
-                raise ValueError("bundle was built without idiosyncratic increments")
-            gen = np.random.Generator(np.random.Philox(self._z_seed))
             n_inv = self.econ.n_investors
-            self._dZ = math.sqrt(self.dt) * gen.standard_normal(
-                (n_inv, self.n_paths, self.n_steps)
-            )
+            self._dZ = self._draw_dz(self._z_stream(), (n_inv, self.n_paths, self.n_steps))
         return self._dZ
+
+    def _dz_block(self, i: int) -> NDArray[np.float64]:
+        """Investor i's idiosyncratic increments, streamed from ``dZ``'s stream.
+
+        Blocks are drawn forward in investor order and only the latest is
+        kept; asking for an earlier investor replays the stream from the
+        start.  A bundle whose full ``dZ`` is already set reads it instead.
+        """
+        if self._dZ is not None:
+            return self._dZ[i]
+        i = range(self.econ.n_investors)[i]
+        if i < self._z_index or self._z_gen is None:
+            self._z_gen, self._z_index = self._z_stream(), -1
+        while self._z_index < i:
+            self._z_block = self._draw_dz(self._z_gen, (self.n_paths, self.n_steps))
+            self._z_index += 1
+        return self._z_block
 
     def _need_dw(self) -> NDArray[np.float64]:
         if self.dW is None:
@@ -274,38 +312,47 @@ class PathBundle:
             raise ValueError("belief densities are defined on P paths")
         inv = self.econ.investors[i]
         ratio = inv.beta_Y / inv.tau
-        dZ = self.dZ[i]
+        dZ = self._dz_block(i)
         cum = np.zeros_like(self.v)
         np.cumsum(np.sqrt(self.v[:, :-1]) * dZ, axis=1, out=cum[:, 1:])
         return -ratio * cum - 0.5 * ratio**2 * self.int_v()
 
     # -- income and consumption ----------------------------------------
 
-    def income_paths(self, i: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        """Euler paths of investor i's income and its insured counterpart.
+    def insured_income(self, i: int) -> NDArray[np.float64]:
+        """Euler path of investor i's insured income.
 
         The insured path drops the idiosyncratic diffusion and compensates
-        the drift by half the squared loading per unit tolerance; both paths
-        start at the same level.
+        the drift by half the squared loading per unit tolerance, so it
+        needs no idiosyncratic increments.
         """
         inv = self.econ.investors[i]
         dW = self._need_dw()
-        dZ = self.dZ[i]
         vp = self.v[:, :-1]
-        root = np.sqrt(vp)
-        dY = (inv.mu_Y + inv.kappa_Y * vp) * self.dt + root * (
-            inv.sigma_Y * dW + inv.beta_Y * dZ
-        )
         comp = 0.5 * inv.beta_Y**2 / inv.tau
-        dY_ins = (inv.mu_Y + (inv.kappa_Y - comp) * vp) * self.dt + root * (
+        dY_ins = (inv.mu_Y + (inv.kappa_Y - comp) * vp) * self.dt + np.sqrt(vp) * (
             inv.sigma_Y * dW
         )
-        Y = np.full_like(self.v, inv.Y0)
         Y_ins = np.full_like(self.v, inv.Y0)
-        np.cumsum(dY, axis=1, out=Y[:, 1:])
-        Y[:, 1:] += inv.Y0
         np.cumsum(dY_ins, axis=1, out=Y_ins[:, 1:])
         Y_ins[:, 1:] += inv.Y0
+        return Y_ins
+
+    def income_paths(self, i: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        """Euler paths of investor i's income and its insured counterpart.
+
+        Both paths start at the same level; the second is
+        :meth:`insured_income`.
+        """
+        inv = self.econ.investors[i]
+        Y_ins = self.insured_income(i)
+        vp = self.v[:, :-1]
+        dY = (inv.mu_Y + inv.kappa_Y * vp) * self.dt + np.sqrt(vp) * (
+            inv.sigma_Y * self.dW + inv.beta_Y * self._dz_block(i)
+        )
+        Y = np.full_like(self.v, inv.Y0)
+        np.cumsum(dY, axis=1, out=Y[:, 1:])
+        Y[:, 1:] += inv.Y0
         return Y, Y_ins
 
     def consumption_cum(self, i: int) -> NDArray[np.float64]:
@@ -443,12 +490,51 @@ class _Moments:
         return McEstimate(float(self.mean[j]), float(se[j]), sim.n_paths, sim.measure)
 
 
-def _reduce(ctx: _SimContext, pathwise) -> McEstimate:
-    """Stream chunks through a per-path functional into one estimate."""
-    acc = _Moments()
+@dataclass
+class _Consumer:
+    """Per-path rows of one estimator and the moments they accumulate.
+
+    ``rows`` maps a bundle to one value per path, or to stacked rows of
+    them; ``paired`` folds antithetic mirrors into pair means when the
+    bundle has them.
+    """
+
+    rows: Callable[[PathBundle], NDArray[np.float64]]
+    paired: bool = True
+    acc: _Moments = field(default_factory=_Moments)
+
+
+@dataclass
+class _Plan:
+    """An estimator as a path stream, its consumers and a finishing step."""
+
+    ctx: _SimContext
+    consumers: tuple[_Consumer, ...]
+    finish: Callable[[], Any]
+
+
+def _run(*plans: _Plan) -> list:
+    """The one chunk loop: each chunk of a shared stream feeds every consumer.
+
+    The plans must simulate the same stream (economy, settings, horizon).
+    Consumers run one after another on each bundle, so peak memory is that
+    of the largest consumer, not their sum.  Returns each plan's result.
+    """
+    ctx = plans[0].ctx
+    key = (ctx.econ, ctx.sim, ctx.horizon)
+    if any((p.ctx.econ, p.ctx.sim, p.ctx.horizon) != key for p in plans[1:]):
+        raise ValueError("plans on different path streams cannot share a chunk loop")
+    consumers = [c for p in plans for c in p.consumers]
     for bundle in _iter_chunks(ctx):
-        acc.add(pathwise(bundle), bundle.antithetic_pairs)
-    return acc.estimate(ctx.sim)
+        for c in consumers:
+            c.acc.add(c.rows(bundle), c.paired and bundle.antithetic_pairs)
+    return [p.finish() for p in plans]
+
+
+def _mean_plan(ctx: _SimContext, rows) -> _Plan:
+    """Plan of one estimate: the mean of a per-path functional."""
+    c = _Consumer(rows)
+    return _Plan(ctx, (c,), lambda: c.acc.estimate(ctx.sim))
 
 
 def _log_exp_martingale(bundle: PathBundle, coeff) -> NDArray[np.float64]:
@@ -477,7 +563,7 @@ def cir_mean(mu: float, kappa: float, v0: float, t) -> float:
 def mc_state_mean(econ: EconomyParams, sim: SimConfig, horizon: float | None = None) -> McEstimate:
     """Sample mean of the terminal variance state."""
     ctx = _SimContext(econ, sim, econ.horizon if horizon is None else horizon)
-    return _reduce(ctx, lambda b: b.v[:, -1])
+    return _run(_mean_plan(ctx, lambda b: b.v[:, -1]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -500,21 +586,29 @@ def mc_bond_price(
     """
     if U == 0.0:
         return McEstimate(1.0, 0.0, sim.n_paths, sim.measure)
+    return _run(_bond_plan(econ, U, sim, benchmark))[0]
+
+
+def _bond_plan(econ: EconomyParams, U: float, sim: SimConfig, benchmark: bool = False) -> _Plan:
     ctx = _SimContext(econ, _require_measure(sim, "Qmin"), U)
-    return _reduce(ctx, lambda b: np.exp(-b.int_rate(benchmark)[:, -1]))
+    return _mean_plan(ctx, lambda b: np.exp(-b.int_rate(benchmark)[:, -1]))
 
 
 def mc_annuity(
     econ: EconomyParams, sim: SimConfig, benchmark: bool = False
 ) -> McEstimate:
     """Estimate the annuity price: time-integrated discounted unit dividend."""
+    return _run(_annuity_plan(econ, sim, benchmark))[0]
+
+
+def _annuity_plan(econ: EconomyParams, sim: SimConfig, benchmark: bool = False) -> _Plan:
     ctx = _SimContext(econ, _require_measure(sim, "Qmin"), econ.horizon)
 
     def pathwise(b: PathBundle):
         disc = np.exp(-b.int_rate(benchmark))
         return 0.5 * (disc[:, :-1] + disc[:, 1:]).sum(axis=1) * b.dt
 
-    return _reduce(ctx, pathwise)
+    return _mean_plan(ctx, pathwise)
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +657,10 @@ def verify_forward_measure(
     check), so the securities offered are the horizon-T bond and the
     dividend-reinvested annuity.
     """
+    return _run(_forward_plan(econ, U, sim, security))[0]
+
+
+def _forward_plan(econ: EconomyParams, U: float, sim: SimConfig, security: str) -> _Plan:
     agg = require_valid(econ)
     sol = solve_closed_form(market_coeffs(agg), econ.horizon)
     x0 = (
@@ -579,7 +677,7 @@ def verify_forward_measure(
         x_U = _terminal_security_values(b, sol, security, U)
         return (x_U - x0) / x0 - target
 
-    return _reduce(ctx, pathwise)
+    return _mean_plan(ctx, pathwise)
 
 
 @dataclass(frozen=True)
@@ -604,6 +702,10 @@ def mc_risk_premium(
     econ: EconomyParams, U: float, security: str, sim: SimConfig
 ) -> RiskPremiumReport:
     """Estimate the U-horizon risk premium and check its covariance form."""
+    return _run(_premium_plan(econ, U, security, sim))[0]
+
+
+def _premium_plan(econ: EconomyParams, U: float, security: str, sim: SimConfig) -> _Plan:
     agg = require_valid(econ)
     sol = solve_closed_form(market_coeffs(agg), econ.horizon)
     b_0U = bond_price(sol, 0.0, U, agg.vol.v0)
@@ -616,24 +718,31 @@ def mc_risk_premium(
     ctx = _SimContext(econ, _require_measure(sim, "P"), U)
     # the forward-measure density loads the discrete price of risk
     coeff = discrete_mpr(sol, agg, ctx.times[:-1], U)
+    paths = {}  # excess_rows stores the bundle's density and value; raw_rows, run next, reads them
 
-    excess = _Moments()  # simple excess return and identity gap
-    raw = _Moments()  # density, value and their product, path by path
-    for bundle in _iter_chunks(ctx):
+    def excess_rows(bundle: PathBundle):  # simple excess return and identity gap
         x_U = _terminal_security_values(bundle, sol, security, U)
         m = np.exp(_log_exp_martingale(bundle, coeff))
-        ret = (x_U - x0) / x0 - riskless
-        d = m * x_U / x0 - 1.0 / b_0U
-        excess.add(np.stack([ret, d]), bundle.antithetic_pairs)
-        raw.add(np.stack([m, x_U, m * x_U]))
-    mean_m, mean_x, mean_mx = raw.mean
-    return RiskPremiumReport(
-        security=security,
-        U=U,
-        premium=excess.estimate(ctx.sim, 0),
-        covariance_side=float(-(mean_mx - mean_m * mean_x) / x0),
-        identity_gap=excess.estimate(ctx.sim, 1),
-    )
+        paths.update(m=m, x_U=x_U)
+        return np.stack([(x_U - x0) / x0 - riskless, m * x_U / x0 - 1.0 / b_0U])
+
+    def raw_rows(bundle: PathBundle):  # density, value and their product, unpaired
+        m, x_U = paths["m"], paths["x_U"]
+        return np.stack([m, x_U, m * x_U])
+
+    excess, raw = _Consumer(excess_rows), _Consumer(raw_rows, paired=False)
+
+    def finish() -> RiskPremiumReport:
+        mean_m, mean_x, mean_mx = raw.acc.mean
+        return RiskPremiumReport(
+            security=security,
+            U=U,
+            premium=excess.acc.estimate(ctx.sim, 0),
+            covariance_side=float(-(mean_mx - mean_m * mean_x) / x0),
+            identity_gap=excess.acc.estimate(ctx.sim, 1),
+        )
+
+    return _Plan(ctx, (excess, raw), finish)
 
 
 # ---------------------------------------------------------------------------
@@ -659,9 +768,12 @@ def verify_clearing(econ: EconomyParams, sim: SimConfig) -> ClearingReport:
     investors, so the aggregate is constant up to floating-point roundoff
     on every path and date.
     """
-    bundle = simulate(econ, _require_measure(sim, "P"))
+    return _clearing_report(simulate(econ, _require_measure(sim, "P")))
+
+
+def _clearing_report(bundle: PathBundle) -> ClearingReport:
     total = bundle.consumption_cum(0)
-    for i in range(1, econ.n_investors):
+    for i in range(1, bundle.econ.n_investors):
         total = total + bundle.consumption_cum(i)
     return ClearingReport(
         max_residual=float(np.abs(total).max()),
@@ -695,30 +807,39 @@ def solve_multipliers(econ: EconomyParams, sim: SimConfig) -> MultiplierSolution
     expectations are estimated on shared paths; the denominator doubles as
     a Monte Carlo annuity check.
     """
+    return _run(_multipliers_plan(econ, sim))[0]
+
+
+def _multipliers_plan(econ: EconomyParams, sim: SimConfig) -> _Plan:
     ctx = _SimContext(econ, _require_measure(sim, "P"), econ.horizon)
-    # row 0: deflated annuity; row 1 + i: deflated consumption increments of investor i
-    acc = _Moments()
-    for bundle in _iter_chunks(ctx):
+
+    def rows(bundle: PathBundle):
+        # row 0: deflated annuity; row 1 + i: deflated consumption increments of investor i
         xi = bundle.xi_min()
         trap_w = np.full(bundle.n_steps + 1, bundle.dt)
         trap_w[0] = trap_w[-1] = 0.5 * bundle.dt
-        rows = [xi @ trap_w]
-        rows += [(xi * bundle.consumption_cum(i)) @ trap_w for i in range(econ.n_investors)]
-        acc.add(np.stack(rows), bundle.antithetic_pairs)
+        out = [xi @ trap_w]
+        out += [(xi * bundle.consumption_cum(i)) @ trap_w for i in range(econ.n_investors)]
+        return np.stack(out)
 
-    agg = ctx.agg
-    x0 = np.array([inv.X0 for inv in econ.investors])
-    c0 = (x0 - acc.mean[1:]) / acc.mean[0]
-    y0 = np.array([inv.Y0 for inv in econ.investors])
-    tau = np.array([inv.tau for inv in econ.investors])
-    alpha = np.exp(-(c0 + y0) / tau) / tau
-    sol = solve_closed_form(market_coeffs(agg), econ.horizon)
-    return MultiplierSolution(
-        c0=c0,
-        alpha=alpha,
-        annuity_mc=acc.estimate(ctx.sim, 0),
-        annuity_closed=annuity_price(sol, 0.0, agg.vol.v0, econ.horizon),
-    )
+    c = _Consumer(rows)
+
+    def finish() -> MultiplierSolution:
+        agg = ctx.agg
+        x0 = np.array([inv.X0 for inv in econ.investors])
+        c0 = (x0 - c.acc.mean[1:]) / c.acc.mean[0]
+        y0 = np.array([inv.Y0 for inv in econ.investors])
+        tau = np.array([inv.tau for inv in econ.investors])
+        alpha = np.exp(-(c0 + y0) / tau) / tau
+        sol = solve_closed_form(market_coeffs(agg), econ.horizon)
+        return MultiplierSolution(
+            c0=c0,
+            alpha=alpha,
+            annuity_mc=c.acc.estimate(ctx.sim, 0),
+            annuity_closed=annuity_price(sol, 0.0, agg.vol.v0, econ.horizon),
+        )
+
+    return _Plan(ctx, (c,), finish)
 
 
 @dataclass(frozen=True)
@@ -768,7 +889,10 @@ def verify_foc(
     the paths to a solved budget.  Residuals shrink linearly in the step
     size (see the module docstring for the exact telescoped form).
     """
-    bundle = simulate(econ, _require_measure(sim, "P"))
+    return _foc_report(simulate(econ, _require_measure(sim, "P")), investor, c0)
+
+
+def _foc_report(bundle: PathBundle, investor: int = 0, c0: float | None = None) -> FocReport:
     r_ins, r_raw = _foc_residuals(bundle, investor, 0.0 if c0 is None else c0)
     return FocReport(
         investor=investor,
@@ -778,6 +902,16 @@ def verify_foc(
         n_paths=bundle.n_paths,
         dt=bundle.dt,
     )
+
+
+def _require_nested_grid(fine_steps: int, doublings: int) -> None:
+    """Reject a fine grid that the coarse levels cannot aggregate evenly."""
+    if fine_steps % 2**doublings:
+        raise ValueError(
+            f"the finest grid has {fine_steps} steps, which is not a multiple of "
+            f"2**doublings = {2**doublings} (doublings={doublings}); choose "
+            "steps_per_year so the horizon holds a whole number of coarse steps"
+        )
 
 
 @dataclass(frozen=True)
@@ -799,8 +933,9 @@ def foc_order(
     onto coarser grids, so every level sees the same underlying noise and
     the residual ratio is nearly deterministic.
     """
-    fine_steps = sim.steps_per_year * 2**doublings
-    fine = simulate(econ, replace(sim, steps_per_year=fine_steps, measure="P"))
+    fine_sim = replace(sim, steps_per_year=sim.steps_per_year * 2**doublings, measure="P")
+    _require_nested_grid(fine_sim.n_steps(econ.horizon), doublings)
+    fine = simulate(econ, fine_sim)
     levels = []
     residuals = []
     for level in range(doublings + 1):
@@ -832,15 +967,23 @@ def martingale_checks(econ: EconomyParams, sim: SimConfig) -> list[tuple[str, Mc
     Left-endpoint construction makes each discrete density an exact
     martingale, so the means should differ from one by sampling error only.
     """
+    return _run(_martingale_plan(econ, sim))[0]
+
+
+def _martingale_plan(econ: EconomyParams, sim: SimConfig) -> _Plan:
     ctx = _SimContext(econ, _require_measure(sim, "P"), econ.horizon)
     n_inv = econ.n_investors
     labels = ["pricing_density"] + [f"belief_density_{i}" for i in range(n_inv)]
-    acc = _Moments()
-    for bundle in _iter_chunks(ctx):
+
+    def rows(bundle: PathBundle):
         vals = [np.exp(bundle.log_density_min()[:, -1])]
         vals += [np.exp(bundle.log_belief_density(i)[:, -1]) for i in range(n_inv)]
-        acc.add(np.stack(vals), bundle.antithetic_pairs)
-    return [(label, acc.estimate(ctx.sim, j)) for j, label in enumerate(labels)]
+        return np.stack(vals)
+
+    c = _Consumer(rows)
+    return _Plan(
+        ctx, (c,), lambda: [(label, c.acc.estimate(ctx.sim, j)) for j, label in enumerate(labels)]
+    )
 
 
 @dataclass(frozen=True)
@@ -883,6 +1026,7 @@ def weak_convergence_study(
         _SimContext(econ, replace(base, steps_per_year=sim.steps_per_year * 2**level), U)
         for level in range(doublings + 1)
     ]
+    _require_nested_grid(ctxs[-1].n_steps, doublings)
 
     sums = np.zeros(doublings + 1)
     n = 0

@@ -15,6 +15,7 @@ return volatility is negative.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -82,6 +83,15 @@ def bond_price(sol: RiccatiSolution, t: float, maturity: float, v_t) -> float:
     return np.exp(sol.eval_b(s) * v_t - sol.eval_a(s))
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre_rule(n: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def quad_nodes(
     lo: float, hi: float, nodes_per_panel: int = QUAD_NODES_PER_PANEL
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -94,7 +104,7 @@ def quad_nodes(
     if hi < lo:
         raise ValueError(f"empty quadrature range [{lo}, {hi}]")
     n_panels = max(1, math.ceil(hi - lo - 1e-12))
-    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
+    x, w = _legendre_rule(nodes_per_panel)
     edges = np.linspace(lo, hi, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])

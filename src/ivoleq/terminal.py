@@ -6,7 +6,8 @@ deterministic coefficient schedule: the instantaneous loading plus a
 vol-of-vol correction through the same slope exponent ``b`` that prices
 bonds in the flow-consumption economy.  This module builds that schedule,
 checks it against the flow model's horizon coefficient, and verifies
-clearing of terminal wealths by simulation.
+clearing of terminal wealths by simulation.  The clearing check reads only
+insured income paths, so it never draws idiosyncratic increments.
 
 The zero rate is a normalization, not a parameter; nothing here discounts.
 """
@@ -140,6 +141,37 @@ class TerminalClearingReport:
     dt: float
 
 
+def _terminal_paths(econ: EconomyParams, agg: AggregateParams, sol: RiccatiSolution, bundle):
+    """Log terminal deflator and each investor's terminal insured income, per path.
+
+    Insured income carries no idiosyncratic term, so nothing here draws the
+    bundle's idiosyncratic increments.
+    """
+    log_xi = _log_exp_martingale(bundle, terminal_mpr(sol, agg, bundle.times[:-1], econ.horizon))
+    income_end = np.empty((econ.n_investors, bundle.n_paths))
+    for i in range(econ.n_investors):
+        income_end[i] = bundle.insured_income(i)[:, -1]
+    return log_xi, income_end
+
+
+def _multipliers(econ: EconomyParams, log_xi, income_end) -> TerminalMultipliers:
+    xi = np.exp(log_xi)
+    xi_mean = float(xi.mean())
+    xi_log = float((xi * log_xi).mean())
+    intercept = np.empty(econ.n_investors)
+    for i, inv in enumerate(econ.investors):
+        intercept[i] = (
+            inv.X0 + inv.tau * xi_log + float((xi * income_end[i]).mean())
+        ) / xi_mean
+    taus = np.array([inv.tau for inv in econ.investors])
+    alpha = np.exp(-intercept / taus) / taus
+    if not np.all(np.isfinite(alpha)):
+        raise ArithmeticError("terminal multiplier estimate is not finite")
+    return TerminalMultipliers(
+        intercept=intercept, alpha=alpha, deflator_mean=xi_mean
+    )
+
+
 def solve_terminal_multipliers(
     econ: EconomyParams, sim: SimConfig, bundle=None
 ) -> TerminalMultipliers:
@@ -156,23 +188,7 @@ def solve_terminal_multipliers(
     sol = solve_closed_form(market_coeffs(agg), econ.horizon)
     if bundle is None:
         bundle = simulate(econ, sim)
-    log_xi = _log_exp_martingale(bundle, terminal_mpr(sol, agg, bundle.times[:-1], econ.horizon))
-    xi = np.exp(log_xi)
-    xi_mean = float(xi.mean())
-    xi_log = float((xi * log_xi).mean())
-    intercept = np.empty(econ.n_investors)
-    for i, inv in enumerate(econ.investors):
-        income_end = bundle.income_paths(i)[1][:, -1]
-        intercept[i] = (
-            inv.X0 + inv.tau * xi_log + float((xi * income_end).mean())
-        ) / xi_mean
-    taus = np.array([inv.tau for inv in econ.investors])
-    alpha = np.exp(-intercept / taus) / taus
-    if not np.all(np.isfinite(alpha)):
-        raise ArithmeticError("terminal multiplier estimate is not finite")
-    return TerminalMultipliers(
-        intercept=intercept, alpha=alpha, deflator_mean=xi_mean
-    )
+    return _multipliers(econ, *_terminal_paths(econ, agg, sol, bundle))
 
 
 def verify_terminal_clearing(
@@ -193,12 +209,11 @@ def verify_terminal_clearing(
         raise ValueError("terminal clearing needs Brownian increments; use the euler scheme")
     sol = solve_closed_form(market_coeffs(agg), econ.horizon)
     bundle = simulate(econ, sim)
-    mult = solve_terminal_multipliers(econ, sim, bundle=bundle)
-    log_xi = _log_exp_martingale(bundle, terminal_mpr(sol, agg, bundle.times[:-1], econ.horizon))
+    log_xi, income_end = _terminal_paths(econ, agg, sol, bundle)
+    mult = _multipliers(econ, log_xi, income_end)
     total = np.zeros(bundle.n_paths)
     for i, inv in enumerate(econ.investors):
-        income_end = bundle.income_paths(i)[1][:, -1]
-        total += mult.intercept[i] - inv.tau * log_xi - income_end
+        total += mult.intercept[i] - inv.tau * log_xi - income_end[i]
     t_grid = np.linspace(0.0, econ.horizon, loading_grid)
     gap = max(abs(wealth_sum_loading(sol, agg, t, econ.horizon)) for t in t_grid)
     return TerminalClearingReport(

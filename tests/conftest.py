@@ -8,6 +8,7 @@ import pytest
 from ivoleq.model import (
     EconomyParams,
     InvestorParams,
+    TwoGroupLimit,
     VolParams,
     derive_aggregates,
     replicate_investor,
@@ -45,6 +46,34 @@ def heterogeneous_economy() -> EconomyParams:
             InvestorParams(tau=1 / 3, sigma_Y=0.2, beta_Y=0.4, X0=-0.2, Y0=-0.5),
         ),
     )
+
+
+def limit_as_finite(
+    vol: VolParams, horizon: float, lim: TwoGroupLimit, n: int
+) -> EconomyParams:
+    """A finite replicated stand-in for a two-group limit economy.
+
+    Group populations are ``round(w * n)`` and the rest; ``w`` should be a
+    multiple of ``1 / n`` for the stand-in to be exact.  It cross-checks
+    :func:`ivoleq.model.limit_aggregates`.
+    """
+    n_a = round(lim.w * n)
+    inv_a = InvestorParams(
+        tau=lim.group_a.tau,
+        mu_Y=lim.group_a.mu_Y,
+        kappa_Y=lim.group_a.kappa_Y,
+        sigma_Y=lim.group_a.sigma_Y,
+        beta_Y=lim.group_a.beta_Y,
+    )
+    inv_b = InvestorParams(
+        tau=lim.group_b.tau,
+        mu_Y=lim.group_b.mu_Y,
+        kappa_Y=lim.group_b.kappa_Y,
+        sigma_Y=lim.group_b.sigma_Y,
+        beta_Y=lim.group_b.beta_Y,
+    )
+    investors = (inv_a,) * n_a + (inv_b,) * (n - n_a)
+    return EconomyParams(vol=vol, horizon=horizon, investors=investors)
 
 
 @pytest.fixture

@@ -136,6 +136,20 @@ class TestVerifyCommands:
         assert elapsed[0] > 0.0
         assert elapsed == [elapsed[0]] * n_checks
 
+    def test_shared_streams_match_suites_run_alone(self, capsys):
+        def checks(suite):
+            argv = ["verify", CONFIG, "--suite", suite, "--n-paths", "500", "--format", "json"]
+            main(argv)
+            doc = json.loads(capsys.readouterr().out)
+            return {c["name"]: (c["value"], c["standard_error"]) for c in doc["checks"]}
+
+        together = checks("all")
+        alone = {}
+        for suite in ("bond", "clearing", "forward", "foc", "martingale", "premium", "multipliers"):
+            alone.update(checks(suite))
+        assert list(together) == list(alone)
+        assert together == alone
+
     def test_terminal_command(self, capsys):
         rc = main(["terminal", CONFIG, "--n-paths", "400"])
         assert rc == 0

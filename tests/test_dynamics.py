@@ -176,6 +176,12 @@ class TestFirstOrderConditions:
         rep = foc_order(econ_mixed, small(steps_per_year=63), doublings=2)
         assert 0.7 <= rep.order <= 1.3
 
+    def test_rejects_grid_the_levels_cannot_nest(self):
+        econ = dataclasses.replace(reference_economy(2), horizon=0.3)
+        # 1008 steps a year over 0.3 years is 302 steps, not a multiple of 4
+        with pytest.raises(ValueError, match=r"302 steps.*doublings=2"):
+            foc_order(econ, small(n_paths=200), doublings=2)
+
 
 class TestForwardMeasure:
     def test_bond_and_annuity_centered(self, econ2):
@@ -241,6 +247,11 @@ class TestWeakConvergence:
         assert 0.7 <= rep.order <= 1.3
         diffs = np.asarray(rep.level_diffs)
         assert np.all(diffs[1:] < diffs[:-1])
+
+    def test_rejects_grid_the_levels_cannot_nest(self, econ2):
+        # 128 steps a year over 0.3 years is 38 steps, not a multiple of 8
+        with pytest.raises(ValueError, match=r"38 steps.*doublings=3"):
+            weak_convergence_study(econ2, 0.3, SimConfig(n_paths=200, steps_per_year=16))
 
 
 class TestRandomEconomies:

@@ -30,6 +30,7 @@ from ivoleq.equilibrium import (
     spot_rate_rep,
     term_structure,
 )
+from ivoleq.equilibrium import _legendre_rule
 from ivoleq.model import derive_aggregates
 from ivoleq.riccati import constant_rate_solution, solve_pair
 
@@ -125,6 +126,15 @@ class TestAnnuity:
         assert annuity_price(sol, 0.0, 1.0, horizon=horizon) == pytest.approx(
             expected, abs=1e-12
         )
+
+    def test_legendre_rule_is_shared_and_read_only(self):
+        nodes, weights = quad_nodes(0.0, 1.0)
+        x, w = np.polynomial.legendre.leggauss(64)
+        assert np.array_equal(nodes, 0.5 + 0.5 * x) and np.array_equal(weights, 0.5 * w)
+        rule = _legendre_rule(64)
+        assert rule is _legendre_rule(64)
+        with pytest.raises(ValueError):
+            rule[0][0] = 0.0
 
     def test_panels_cover_long_spans(self):
         lo, hi = 0.0, 3.7

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REFERENCE_INVESTOR, REFERENCE_VOL, reference_economy
+from conftest import REFERENCE_INVESTOR, REFERENCE_VOL, limit_as_finite, reference_economy
 from ivoleq.model import (
     EconomyParams,
     GroupSpec,
@@ -20,7 +20,6 @@ from ivoleq.model import (
     aggregates_from_arrays,
     derive_aggregates,
     limit_aggregates,
-    limit_as_finite,
     replicate_investor,
     validate,
 )

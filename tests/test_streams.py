@@ -1,0 +1,101 @@
+"""Random blocks drawn once and only where read: streamed idiosyncratic
+increments, the increment-free terminal check and shared chunk loops."""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from conftest import heterogeneous_economy, reference_economy
+from ivoleq import dynamics
+from ivoleq.dynamics import SimConfig, martingale_checks, simulate, verify_foc
+from ivoleq.terminal import solve_terminal_multipliers, verify_terminal_clearing
+
+
+def _sim(**over) -> SimConfig:
+    base = dict(n_paths=64, steps_per_year=24, seed=5, antithetic=False)
+    base.update(over)
+    return SimConfig(**base)
+
+
+class TestStreamedIncrements:
+    @pytest.mark.parametrize(
+        "order",
+        [(0, 1, 2, 3), (2, 0, 3, 1), (1, 1, 0, 0, 3, 3)],
+        ids=["in_order", "out_of_order", "repeated"],
+    )
+    def test_blocks_equal_full_draw_bitwise(self, order):
+        econ = reference_economy(4)
+        full = simulate(econ, _sim()).dZ
+        bundle = simulate(econ, _sim())
+        for i in order:
+            assert np.array_equal(bundle._dz_block(i), full[i])
+        assert bundle._dZ is None
+
+    def test_set_full_block_is_read(self):
+        bundle = simulate(reference_economy(3), _sim())
+        bundle._dZ = np.random.default_rng(1).standard_normal((3, bundle.n_paths, bundle.n_steps))
+        for i in (2, 0, 1):
+            assert np.array_equal(bundle._dz_block(i), bundle._dZ[i])
+
+    def test_functionals_agree_with_the_full_draw(self):
+        econ = heterogeneous_economy()
+        streamed = simulate(econ, _sim())
+        full = simulate(econ, _sim())
+        full.dZ
+        for i in (1, 0):
+            assert np.array_equal(streamed.log_belief_density(i), full.log_belief_density(i))
+            for a, b in zip(streamed.income_paths(i), full.income_paths(i)):
+                assert np.array_equal(a, b)
+
+    def test_insured_income_is_second_income_path(self):
+        bundle = simulate(heterogeneous_economy(), _sim())
+        for i in (0, 1):
+            assert np.array_equal(bundle.insured_income(i), bundle.income_paths(i)[1])
+
+
+class TestTerminalDrawsNoIncrements:
+    def test_multipliers_leave_bundle_undrawn(self):
+        econ = heterogeneous_economy()
+        bundle = simulate(econ, _sim())
+        solve_terminal_multipliers(econ, _sim(), bundle=bundle)
+        assert bundle._dZ is None and bundle._z_block is None
+
+    def test_clearing_never_reads_increments(self, monkeypatch):
+        def refuse(self, i):
+            raise AssertionError("terminal clearing read idiosyncratic increments")
+
+        monkeypatch.setattr(dynamics.PathBundle, "_dz_block", refuse)
+        rep = verify_terminal_clearing(heterogeneous_economy(), _sim())
+        assert rep.max_residual <= rep.dt
+
+
+class TestSharedChunkLoop:
+    def test_plans_on_different_streams_are_refused(self):
+        econ = reference_economy(2)
+        with pytest.raises(ValueError, match="different path streams"):
+            dynamics._run(
+                dynamics._martingale_plan(econ, _sim()),
+                dynamics._martingale_plan(econ, _sim(seed=6)),
+            )
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "check", [martingale_checks, verify_foc], ids=["martingale_checks", "verify_foc"]
+)
+def test_memory_is_bounded_by_one_investor(check):
+    econ = reference_economy(64)
+    sim = SimConfig(n_paths=256, seed=3, antithetic=False)
+    full_block = econ.n_investors * sim.n_paths * sim.n_steps(econ.horizon) * 8
+    assert _peak_bytes(lambda: check(econ, sim)) < full_block / 2
