@@ -37,11 +37,29 @@ chunks are scheduled and any chunk can be regenerated in isolation.
 
 Every random block is drawn once, and only when a functional reads it.  A
 chunk's idiosyncratic increments come from one stream, drawn one investor
-block at a time in investor order, so per-investor functionals hold one
-block rather than all investors'; the terminal-wealth checks read only
-insured income and draw none.  Each estimator is a plan of consumers fed by
-``_run``, the one chunk loop; plans that read the same stream share one
-loop, so the ``verify`` command generates each distinct path set once.
+block at a time in investor order into one reused buffer, so per-investor
+functionals hold one block rather than all investors'; the terminal-wealth
+checks read only insured income and draw none.  Each estimator is a plan of
+consumers fed by ``_run``, the one chunk loop; plans that read the same
+stream share one loop, so the ``verify`` command generates each distinct
+path set once.
+
+Terminal and time-integrated per-investor functionals never build
+per-investor paths.  Every per-investor path is affine in ``t``,
+``int v dt`` and ``int sqrt(v) dW``, which all investors share; a belief
+density adds the investor's own ``int sqrt(v) dZ_i``.  So the densities at
+the horizon and terminal insured income are combinations of per-path row
+reductions (``PathBundle._terminal_integrals``), and the budget integral of
+consumption ``C_i(t_k) = sum_{j<k} (a_i dt + b_i v_j dt + d_i sqrt(v_j) dW_j)``
+follows by summation by parts: with ``R_k = sum_{k' >= k} w_k' xi_k'`` for
+trapezoid weights ``w``,
+
+    sum_k w_k xi_k C_i(t_k) = a_i sum_k w_k xi_k t_k
+                              + b_i dt sum_j v_j R_{j+1}
+                              + d_i sum_j sqrt(v_j) dW_j R_{j+1},
+
+three per-path sums shared by every investor.  Each investor then costs
+work in the number of paths, plus the draw of its ``dZ`` block.
 """
 
 from __future__ import annotations
@@ -204,7 +222,9 @@ class PathBundle:
     functionals hold one block instead of all investors' and a bundle no
     functional asks for them never draws them.  The ``dZ`` property draws
     the whole (investors, paths, steps) block from the same stream; its
-    slices equal the streamed blocks bit for bit.
+    slices equal the streamed blocks bit for bit.  The public methods build
+    full paths; the estimators read terminal and integrated values through
+    ``_terminal_integrals`` instead.
     """
 
     def __init__(self, ctx: _SimContext, v, dW, z_seed, antithetic_pairs: bool):
@@ -236,32 +256,35 @@ class PathBundle:
             raise ValueError("bundle was built without idiosyncratic increments")
         return np.random.Generator(np.random.Philox(self._z_seed))
 
-    def _draw_dz(self, gen: np.random.Generator, shape) -> NDArray[np.float64]:
-        out = gen.standard_normal(out=np.empty(shape))
+    def _draw_dz(self, gen: np.random.Generator, out: NDArray[np.float64]) -> NDArray[np.float64]:
+        gen.standard_normal(out=out)
         out *= math.sqrt(self.dt)
         return out
 
     @property
     def dZ(self) -> NDArray[np.float64]:
         if self._dZ is None:
-            n_inv = self.econ.n_investors
-            self._dZ = self._draw_dz(self._z_stream(), (n_inv, self.n_paths, self.n_steps))
+            shape = (self.econ.n_investors, self.n_paths, self.n_steps)
+            self._dZ = self._draw_dz(self._z_stream(), np.empty(shape))
         return self._dZ
 
     def _dz_block(self, i: int) -> NDArray[np.float64]:
         """Investor i's idiosyncratic increments, streamed from ``dZ``'s stream.
 
-        Blocks are drawn forward in investor order and only the latest is
-        kept; asking for an earlier investor replays the stream from the
-        start.  A bundle whose full ``dZ`` is already set reads it instead.
+        Blocks are drawn forward in investor order into the one buffer the
+        bundle keeps, so a returned block stays valid until another investor
+        is requested; asking for an earlier investor replays the stream from
+        the start.  A bundle whose full ``dZ`` is already set reads it instead.
         """
         if self._dZ is not None:
             return self._dZ[i]
         i = range(self.econ.n_investors)[i]
         if i < self._z_index or self._z_gen is None:
             self._z_gen, self._z_index = self._z_stream(), -1
+        if self._z_block is None:
+            self._z_block = np.empty((self.n_paths, self.n_steps))
         while self._z_index < i:
-            self._z_block = self._draw_dz(self._z_gen, (self.n_paths, self.n_steps))
+            self._draw_dz(self._z_gen, self._z_block)
             self._z_index += 1
         return self._z_block
 
@@ -292,6 +315,17 @@ class PathBundle:
         out = np.zeros_like(self.v)
         np.cumsum(0.5 * (r[:, :-1] + r[:, 1:]) * self.dt, axis=1, out=out[:, 1:])
         return out
+
+    def _terminal_integrals(self):
+        """Square root of the left-point state, and ``int v dt`` and
+        ``int sqrt(v) dW`` at the horizon, per path.
+
+        The last columns of :meth:`int_v` and :meth:`int_sqrt_v_dW`, taken
+        by row reductions; the root serves an investor's ``int sqrt(v) dZ``.
+        """
+        vp = self.v[:, :-1]
+        root = np.sqrt(vp)
+        return root, vp.sum(axis=1) * self.dt, np.einsum("ij,ij->i", root, self._need_dw())
 
     # -- densities ------------------------------------------------------
 
@@ -544,8 +578,8 @@ def _log_exp_martingale(bundle: PathBundle, coeff) -> NDArray[np.float64]:
     loads ``-coeff * sqrt(v)`` on the traded shock.
     """
     vp = bundle.v[:, :-1]
-    stoch = (np.sqrt(vp) * bundle._need_dw()) @ coeff
-    return -stoch - 0.5 * ((vp * bundle.dt) @ (coeff**2))
+    stoch = np.einsum("ij,ij,j->i", np.sqrt(vp), bundle._need_dw(), coeff)
+    return -stoch - 0.5 * bundle.dt * np.einsum("ij,j->i", vp, coeff**2)
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +674,8 @@ def _terminal_security_values(
             # ex-dividend price, affine in the terminal state per quadrature node
             nodes, weights = quad_nodes(U, T)
             s = nodes - U
-            spot = np.exp(np.outer(v_U, sol.eval_b(s)) - sol.eval_a(s)) @ weights
+            node_prices = np.exp(np.outer(v_U, sol.eval_b(s)) - sol.eval_a(s))
+            spot = np.einsum("ij,j->i", node_prices, weights)
         return spot + accrued
     raise ValueError(f"security must be 'bond' or 'annuity', got {security!r}")
 
@@ -774,7 +809,7 @@ def verify_clearing(econ: EconomyParams, sim: SimConfig) -> ClearingReport:
 def _clearing_report(bundle: PathBundle) -> ClearingReport:
     total = bundle.consumption_cum(0)
     for i in range(1, bundle.econ.n_investors):
-        total = total + bundle.consumption_cum(i)
+        total += bundle.consumption_cum(i)
     return ClearingReport(
         max_residual=float(np.abs(total).max()),
         n_paths=bundle.n_paths,
@@ -804,30 +839,42 @@ def solve_multipliers(econ: EconomyParams, sim: SimConfig) -> MultiplierSolution
     Consumption is initial level plus a level-independent increment
     process, so the budget constraint is affine in the initial level:
     ``c0 = (X0 - E[int xi * cum-increments dt]) / E[int xi dt]``.  Both
-    expectations are estimated on shared paths; the denominator doubles as
-    a Monte Carlo annuity check.
+    expectations are estimated on shared paths; the numerator combines three
+    per-path sums every investor shares (summation by parts, see the module
+    docstring), and the denominator doubles as a Monte Carlo annuity check.
     """
     return _run(_multipliers_plan(econ, sim))[0]
 
 
 def _multipliers_plan(econ: EconomyParams, sim: SimConfig) -> _Plan:
     ctx = _SimContext(econ, _require_measure(sim, "P"), econ.horizon)
+    trap_w = np.full(ctx.n_steps + 1, ctx.dt)
+    trap_w[0] = trap_w[-1] = 0.5 * ctx.dt
 
     def rows(bundle: PathBundle):
-        # row 0: deflated annuity; row 1 + i: deflated consumption increments of investor i
-        xi = bundle.xi_min()
-        trap_w = np.full(bundle.n_steps + 1, bundle.dt)
-        trap_w[0] = trap_w[-1] = 0.5 * bundle.dt
-        out = [xi @ trap_w]
-        out += [(xi * bundle.consumption_cum(i)) @ trap_w for i in range(econ.n_investors)]
-        return np.stack(out)
+        # the deflated annuity and the three sums every investor's deflated
+        # consumption combines (summation by parts, see the module docstring)
+        tail = bundle.xi_min()
+        tail *= trap_w
+        timed = np.einsum("ij,j->i", tail, bundle.times)
+        np.cumsum(tail[:, ::-1], axis=1, out=tail[:, ::-1])  # tail[:, k] = R_k
+        vp = bundle.v[:, :-1]
+        return np.stack([
+            tail[:, 0],
+            timed,
+            bundle.dt * np.einsum("ij,ij->i", vp, tail[:, 1:]),
+            np.einsum("ij,ij,ij->i", np.sqrt(vp), bundle.dW, tail[:, 1:]),
+        ])
 
     c = _Consumer(rows)
 
     def finish() -> MultiplierSolution:
         agg = ctx.agg
         x0 = np.array([inv.X0 for inv in econ.investors])
-        c0 = (x0 - c.acc.mean[1:]) / c.acc.mean[0]
+        coeffs = [optimal_consumption_coeffs(agg, inv) for inv in econ.investors]
+        a, b, d = np.array([(k.drift_const, k.drift_v, k.diffusion) for k in coeffs]).T
+        annuity, timed, v_sum, w_sum = c.acc.mean
+        c0 = (x0 - (a * timed + b * v_sum + d * w_sum)) / annuity
         y0 = np.array([inv.Y0 for inv in econ.investors])
         tau = np.array([inv.tau for inv in econ.investors])
         alpha = np.exp(-(c0 + y0) / tau) / tau
@@ -861,19 +908,28 @@ class FocReport:
     dt: float
 
 
-def _foc_residuals(bundle: PathBundle, i: int, c0: float):
+def _foc_terms(bundle: PathBundle, i: int, c0: float):
+    """Consumption path, log multiplier and log state price of investor i."""
     inv = bundle.econ.investors[i]
-    Y, Y_ins = bundle.income_paths(i)
     c_path = c0 + bundle.consumption_cum(i)
     log_alpha = -(c0 + inv.Y0) / inv.tau - math.log(inv.tau)
     log_xi = -bundle.int_rate() + bundle.log_density_min()
+    return c_path, log_alpha, log_xi
 
+
+def _foc_residual(tau: float, terms, income, log_belief=0.0):
+    """One route's residual: log marginal utility against its log price."""
+    c_path, log_alpha, log_xi = terms
     # marginal utility in logs: -log tau - (c + income) / tau
-    lhs_ins = -math.log(inv.tau) - (c_path + Y_ins) / inv.tau
-    r_ins = lhs_ins - (log_alpha + log_xi)
-    lhs_raw = -math.log(inv.tau) - (c_path + Y) / inv.tau
-    r_raw = lhs_raw - (log_alpha + bundle.log_belief_density(i) + log_xi)
-    return r_ins, r_raw
+    return -math.log(tau) - (c_path + income) / tau - (log_alpha + log_belief + log_xi)
+
+
+def _foc_residuals(bundle: PathBundle, i: int, c0: float):
+    tau = bundle.econ.investors[i].tau
+    Y, Y_ins = bundle.income_paths(i)
+    terms = _foc_terms(bundle, i, c0)
+    r_ins = _foc_residual(tau, terms, Y_ins)
+    return r_ins, _foc_residual(tau, terms, Y, bundle.log_belief_density(i))
 
 
 def verify_foc(
@@ -931,11 +987,13 @@ def foc_order(
 
     Simulates at the finest grid once and aggregates the same increments
     onto coarser grids, so every level sees the same underlying noise and
-    the residual ratio is nearly deterministic.
+    the residual ratio is nearly deterministic.  The insured route carries
+    no idiosyncratic term, so no level draws ``dZ``.
     """
     fine_sim = replace(sim, steps_per_year=sim.steps_per_year * 2**doublings, measure="P")
     _require_nested_grid(fine_sim.n_steps(econ.horizon), doublings)
     fine = simulate(econ, fine_sim)
+    tau = econ.investors[investor].tau
     levels = []
     residuals = []
     for level in range(doublings + 1):
@@ -946,11 +1004,10 @@ def foc_order(
         else:
             K = fine.n_steps // factor
             dW = fine.dW.reshape(fine.n_paths, K, factor).sum(axis=2)
-            dZ = fine.dZ.reshape(fine.dZ.shape[0], fine.n_paths, K, factor).sum(axis=3)
             ctx = _SimContext(econ, replace(sim, steps_per_year=steps, measure="P"), econ.horizon)
             bundle = _euler_bundle(ctx, dW)
-            bundle._dZ = dZ
-        r_ins, _ = _foc_residuals(bundle, investor, 0.0)
+        terms = _foc_terms(bundle, investor, 0.0)
+        r_ins = _foc_residual(tau, terms, bundle.insured_income(investor))
         levels.append(steps)
         residuals.append(float(np.abs(r_ins[:, -1]).mean()))
     fit = np.polyfit(np.log2(levels), np.log2(residuals), 1)
@@ -974,11 +1031,18 @@ def _martingale_plan(econ: EconomyParams, sim: SimConfig) -> _Plan:
     ctx = _SimContext(econ, _require_measure(sim, "P"), econ.horizon)
     n_inv = econ.n_investors
     labels = ["pricing_density"] + [f"belief_density_{i}" for i in range(n_inv)]
+    mpr = ctx.agg.mpr_loading
+    ratios = [inv.beta_Y / inv.tau for inv in econ.investors]
 
     def rows(bundle: PathBundle):
-        vals = [np.exp(bundle.log_density_min()[:, -1])]
-        vals += [np.exp(bundle.log_belief_density(i)[:, -1]) for i in range(n_inv)]
-        return np.stack(vals)
+        # the last columns of log_density_min and log_belief_density(i)
+        root, int_v, int_sqrt_v_dW = bundle._terminal_integrals()
+        out = np.empty((n_inv + 1, bundle.n_paths))
+        out[0] = -mpr * int_sqrt_v_dW - 0.5 * mpr**2 * int_v
+        for i, ratio in enumerate(ratios):
+            int_sqrt_v_dZ = np.einsum("ij,ij->i", root, bundle._dz_block(i))
+            out[i + 1] = -ratio * int_sqrt_v_dZ - 0.5 * ratio**2 * int_v
+        return np.exp(out, out=out)
 
     c = _Consumer(rows)
     return _Plan(

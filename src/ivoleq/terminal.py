@@ -7,7 +7,7 @@ vol-of-vol correction through the same slope exponent ``b`` that prices
 bonds in the flow-consumption economy.  This module builds that schedule,
 checks it against the flow model's horizon coefficient, and verifies
 clearing of terminal wealths by simulation.  The clearing check reads only
-insured income paths, so it never draws idiosyncratic increments.
+insured income at the horizon, so it never draws idiosyncratic increments.
 
 The zero rate is a normalization, not a parameter; nothing here discounts.
 """
@@ -145,12 +145,19 @@ def _terminal_paths(econ: EconomyParams, agg: AggregateParams, sol: RiccatiSolut
     """Log terminal deflator and each investor's terminal insured income, per path.
 
     Insured income carries no idiosyncratic term, so nothing here draws the
-    bundle's idiosyncratic increments.
+    bundle's idiosyncratic increments.  Its terminal value, the last column
+    of ``bundle.insured_income(i)``, is affine in the shared terminal
+    integrals: ``Y0 + mu_Y T + (kappa_Y - beta_Y**2 / (2 tau)) int v dt
+    + sigma_Y int sqrt(v) dW``.
     """
     log_xi = _log_exp_martingale(bundle, terminal_mpr(sol, agg, bundle.times[:-1], econ.horizon))
+    _, int_v, int_sqrt_v_dW = bundle._terminal_integrals()
     income_end = np.empty((econ.n_investors, bundle.n_paths))
-    for i in range(econ.n_investors):
-        income_end[i] = bundle.insured_income(i)[:, -1]
+    for i, inv in enumerate(econ.investors):
+        drift_v = inv.kappa_Y - 0.5 * inv.beta_Y**2 / inv.tau
+        income_end[i] = (
+            inv.Y0 + inv.mu_Y * bundle.times[-1] + drift_v * int_v + inv.sigma_Y * int_sqrt_v_dW
+        )
     return log_xi, income_end
 
 
@@ -197,7 +204,7 @@ def verify_terminal_clearing(
     """Check that terminal wealths sum to zero path by path.
 
     Builds each investor's terminal wealth from the solved multiplier, the
-    shared deflator path and the insured income path, then reports the worst
+    shared terminal deflator and its terminal insured income, then reports the worst
     pathwise deviation of the sum.  Everything is assembled from one shared
     bundle so the cancellation fails only through the first-order bias of the
     left-point sums.

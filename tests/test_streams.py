@@ -10,7 +10,7 @@ import pytest
 
 from conftest import heterogeneous_economy, reference_economy
 from ivoleq import dynamics
-from ivoleq.dynamics import SimConfig, martingale_checks, simulate, verify_foc
+from ivoleq.dynamics import SimConfig, foc_order, martingale_checks, simulate, verify_foc
 from ivoleq.terminal import solve_terminal_multipliers, verify_terminal_clearing
 
 
@@ -33,6 +33,17 @@ class TestStreamedIncrements:
         for i in order:
             assert np.array_equal(bundle._dz_block(i), full[i])
         assert bundle._dZ is None
+
+    def test_blocks_reuse_one_buffer(self):
+        econ = reference_economy(3)
+        full = simulate(econ, _sim()).dZ
+        bundle = simulate(econ, _sim())
+        first = bundle._dz_block(0)
+        assert np.array_equal(first, full[0])
+        for i in (1, 2, 0):
+            block = bundle._dz_block(i)
+            assert np.shares_memory(block, first)
+            assert np.array_equal(block, full[i])
 
     def test_set_full_block_is_read(self):
         bundle = simulate(reference_economy(3), _sim())
@@ -70,6 +81,16 @@ class TestTerminalDrawsNoIncrements:
         monkeypatch.setattr(dynamics.PathBundle, "_dz_block", refuse)
         rep = verify_terminal_clearing(heterogeneous_economy(), _sim())
         assert rep.max_residual <= rep.dt
+
+
+def test_foc_order_draws_no_increments(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("foc_order read idiosyncratic increments")
+
+    monkeypatch.setattr(dynamics.PathBundle, "_dz_block", refuse)
+    monkeypatch.setattr(dynamics.PathBundle, "dZ", property(refuse))
+    rep = foc_order(heterogeneous_economy(), _sim(steps_per_year=16), doublings=2)
+    assert rep.order > 0.5
 
 
 class TestSharedChunkLoop:
