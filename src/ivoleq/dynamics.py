@@ -47,19 +47,31 @@ path set once.
 Terminal and time-integrated per-investor functionals never build
 per-investor paths.  Every per-investor path is affine in ``t``,
 ``int v dt`` and ``int sqrt(v) dW``, which all investors share; a belief
-density adds the investor's own ``int sqrt(v) dZ_i``.  So the densities at
-the horizon and terminal insured income are combinations of per-path row
-reductions (``PathBundle._terminal_integrals``), and the budget integral of
-consumption ``C_i(t_k) = sum_{j<k} (a_i dt + b_i v_j dt + d_i sqrt(v_j) dW_j)``
-follows by summation by parts: with ``R_k = sum_{k' >= k} w_k' xi_k'`` for
+density adds the investor's own ``int sqrt(v) dZ_i``.  So the pricing
+density at the horizon and terminal insured income are combinations of
+per-path row reductions (``PathBundle._terminal_integrals``), and the budget
+integral of consumption
+``C_i(t_k) = sum_{j<k} (a_i dt + b_i v_j dt + d_i sqrt(v_j) dW_j)`` follows
+by summation by parts: with ``R_k = sum_{k' >= k} w_k' xi_k'`` for
 trapezoid weights ``w``,
 
     sum_k w_k xi_k C_i(t_k) = a_i sum_k w_k xi_k t_k
                               + b_i dt sum_j v_j R_{j+1}
                               + d_i sum_j sqrt(v_j) dW_j R_{j+1},
 
-three per-path sums shared by every investor.  Each investor then costs
-work in the number of paths, plus the draw of its ``dZ`` block.
+three per-path sums shared by every investor.
+
+The martingale check samples the belief densities at the horizon
+conditionally (Glasserman, Monte Carlo Methods in Financial Engineering,
+section 4.5): the increments ``dZ_i`` are independent of ``v`` and ``dW``,
+so given the paths the discrete ``sum_k sqrt(v_k) dZ_i,k`` is exactly
+normal with variance ``int v dt``, independently across investors.  One
+standard normal ``G_i`` per investor and path, scaled by
+``sqrt(int v dt)``, therefore has the joint law of the full sum, and each
+investor costs work in the number of paths only.  ``G`` comes from its own
+stream, the third child of the chunk seed (``PathBundle._belief_normals``).
+The ``dZ`` blocks serve only the full paths of ``income_paths`` and
+``log_belief_density``.
 """
 
 from __future__ import annotations
@@ -222,12 +234,15 @@ class PathBundle:
     functionals hold one block instead of all investors' and a bundle no
     functional asks for them never draws them.  The ``dZ`` property draws
     the whole (investors, paths, steps) block from the same stream; its
-    slices equal the streamed blocks bit for bit.  The public methods build
-    full paths; the estimators read terminal and integrated values through
-    ``_terminal_integrals`` instead.
+    slices equal the streamed blocks bit for bit.  Only the full paths of
+    ``income_paths`` and ``log_belief_density`` read ``dZ``.  The public
+    methods build full paths; the estimators read terminal and integrated
+    values through ``_terminal_integrals`` instead, and the martingale check
+    reads each belief density at the horizon through one conditional normal
+    per investor and path (``_belief_normals``, from a third stream).
     """
 
-    def __init__(self, ctx: _SimContext, v, dW, z_seed, antithetic_pairs: bool):
+    def __init__(self, ctx: _SimContext, v, dW, z_seed, g_seed, antithetic_pairs: bool):
         self.econ = ctx.econ
         self.agg = ctx.agg
         self.measure = ctx.sim.measure
@@ -238,6 +253,7 @@ class PathBundle:
         self.dW = dW
         self.antithetic_pairs = antithetic_pairs
         self._z_seed = z_seed
+        self._g_seed = g_seed
         self._dZ: NDArray[np.float64] | None = None
         self._z_gen = None  # stream position: the generator after block _z_index
         self._z_index = -1
@@ -251,10 +267,20 @@ class PathBundle:
     def n_steps(self) -> int:
         return self.v.shape[1] - 1
 
-    def _z_stream(self) -> np.random.Generator:
-        if self._z_seed is None:
+    @staticmethod
+    def _stream(seed) -> np.random.Generator:
+        if seed is None:
             raise ValueError("bundle was built without idiosyncratic increments")
-        return np.random.Generator(np.random.Philox(self._z_seed))
+        return np.random.Generator(np.random.Philox(seed))
+
+    def _belief_normals(self) -> NDArray[np.float64]:
+        """One standard normal per investor and path, shape (investors, paths).
+
+        Scaled by ``sqrt(int v dt)`` at the horizon, row i has the law of
+        investor i's ``int sqrt(v) dZ_i`` given the paths (see the module
+        docstring).  Every call draws the same values.
+        """
+        return self._stream(self._g_seed).standard_normal((self.econ.n_investors, self.n_paths))
 
     def _draw_dz(self, gen: np.random.Generator, out: NDArray[np.float64]) -> NDArray[np.float64]:
         gen.standard_normal(out=out)
@@ -265,7 +291,7 @@ class PathBundle:
     def dZ(self) -> NDArray[np.float64]:
         if self._dZ is None:
             shape = (self.econ.n_investors, self.n_paths, self.n_steps)
-            self._dZ = self._draw_dz(self._z_stream(), np.empty(shape))
+            self._dZ = self._draw_dz(self._stream(self._z_seed), np.empty(shape))
         return self._dZ
 
     def _dz_block(self, i: int) -> NDArray[np.float64]:
@@ -280,7 +306,7 @@ class PathBundle:
             return self._dZ[i]
         i = range(self.econ.n_investors)[i]
         if i < self._z_index or self._z_gen is None:
-            self._z_gen, self._z_index = self._z_stream(), -1
+            self._z_gen, self._z_index = self._stream(self._z_seed), -1
         if self._z_block is None:
             self._z_block = np.empty((self.n_paths, self.n_steps))
         while self._z_index < i:
@@ -317,15 +343,13 @@ class PathBundle:
         return out
 
     def _terminal_integrals(self):
-        """Square root of the left-point state, and ``int v dt`` and
-        ``int sqrt(v) dW`` at the horizon, per path.
+        """``int v dt`` and ``int sqrt(v) dW`` at the horizon, per path.
 
         The last columns of :meth:`int_v` and :meth:`int_sqrt_v_dW`, taken
-        by row reductions; the root serves an investor's ``int sqrt(v) dZ``.
+        by row reductions.
         """
         vp = self.v[:, :-1]
-        root = np.sqrt(vp)
-        return root, vp.sum(axis=1) * self.dt, np.einsum("ij,ij->i", root, self._need_dw())
+        return vp.sum(axis=1) * self.dt, np.einsum("ij,ij->i", np.sqrt(vp), self._need_dw())
 
     # -- densities ------------------------------------------------------
 
@@ -414,7 +438,9 @@ def _euler_step(vol, x, kappa, dt, dW):
     return x + (vol.mu_v + kappa * vp) * dt + vol.sigma_v * root * dW, vp, root
 
 
-def _euler_bundle(ctx: _SimContext, dW, z_seed=None, antithetic_pairs=False) -> PathBundle:
+def _euler_bundle(
+    ctx: _SimContext, dW, z_seed=None, g_seed=None, antithetic_pairs=False
+) -> PathBundle:
     """Euler bundle on the context's grid; only the clipped state is stored."""
     vol = ctx.econ.vol
     x = np.full(dW.shape[0], vol.v0)
@@ -423,11 +449,12 @@ def _euler_bundle(ctx: _SimContext, dW, z_seed=None, antithetic_pairs=False) -> 
     for k in range(dW.shape[1]):
         x, _, _ = _euler_step(vol, x, ctx.kappa_grid[k], ctx.dt, dW[:, k])
         v[:, k + 1] = np.maximum(x, 0.0)
-    return PathBundle(ctx, v, dW, z_seed, antithetic_pairs)
+    return PathBundle(ctx, v, dW, z_seed, g_seed, antithetic_pairs)
 
 
 def _simulate_chunk(ctx: _SimContext, seed, m: int) -> PathBundle:
-    w_seed, z_seed = seed.spawn(2)
+    # a child depends only on its index, so the first two equal spawn(2)'s
+    w_seed, z_seed, g_seed = seed.spawn(3)
     gen = np.random.Generator(np.random.Philox(w_seed))
     vol = ctx.econ.vol
     K = ctx.n_steps
@@ -448,14 +475,14 @@ def _simulate_chunk(ctx: _SimContext, seed, m: int) -> PathBundle:
         for k in range(K):
             nonc = 2.0 * c * v[:, k] * decay
             v[:, k + 1] = gen.noncentral_chisquare(df, nonc) / (2.0 * c)
-        return PathBundle(ctx, v, None, z_seed, antithetic_pairs=False)
+        return PathBundle(ctx, v, None, z_seed, g_seed, antithetic_pairs=False)
 
     if ctx.sim.antithetic:
         base = gen.standard_normal((m // 2, K))
         dW = math.sqrt(dt) * np.concatenate([base, -base], axis=0)
     else:
         dW = math.sqrt(dt) * gen.standard_normal((m, K))
-    return _euler_bundle(ctx, dW, z_seed, antithetic_pairs=ctx.sim.antithetic)
+    return _euler_bundle(ctx, dW, z_seed, g_seed, antithetic_pairs=ctx.sim.antithetic)
 
 
 def _iter_chunks(ctx: _SimContext):
@@ -562,6 +589,7 @@ def _run(*plans: _Plan) -> list:
     for bundle in _iter_chunks(ctx):
         for c in consumers:
             c.acc.add(c.rows(bundle), c.paired and bundle.antithetic_pairs)
+        del bundle  # free this chunk's paths before the next chunk is simulated
     return [p.finish() for p in plans]
 
 
@@ -1023,6 +1051,8 @@ def martingale_checks(econ: EconomyParams, sim: SimConfig) -> list[tuple[str, Mc
 
     Left-endpoint construction makes each discrete density an exact
     martingale, so the means should differ from one by sampling error only.
+    The belief densities are sampled conditionally on the variance path
+    (see the module docstring), with the law of the full-path ones.
     """
     return _run(_martingale_plan(econ, sim))[0]
 
@@ -1032,16 +1062,16 @@ def _martingale_plan(econ: EconomyParams, sim: SimConfig) -> _Plan:
     n_inv = econ.n_investors
     labels = ["pricing_density"] + [f"belief_density_{i}" for i in range(n_inv)]
     mpr = ctx.agg.mpr_loading
-    ratios = [inv.beta_Y / inv.tau for inv in econ.investors]
+    ratios = np.array([[inv.beta_Y / inv.tau] for inv in econ.investors])
 
     def rows(bundle: PathBundle):
-        # the last columns of log_density_min and log_belief_density(i)
-        root, int_v, int_sqrt_v_dW = bundle._terminal_integrals()
+        # the last column of log_density_min, and of log_belief_density(i) in
+        # law: int sqrt(v) dZ_i is drawn as sqrt(int v dt) G_i (module docstring)
+        int_v, int_sqrt_v_dW = bundle._terminal_integrals()
         out = np.empty((n_inv + 1, bundle.n_paths))
         out[0] = -mpr * int_sqrt_v_dW - 0.5 * mpr**2 * int_v
-        for i, ratio in enumerate(ratios):
-            int_sqrt_v_dZ = np.einsum("ij,ij->i", root, bundle._dz_block(i))
-            out[i + 1] = -ratio * int_sqrt_v_dZ - 0.5 * ratio**2 * int_v
+        int_sqrt_v_dZ = np.sqrt(int_v) * bundle._belief_normals()
+        out[1:] = -ratios * int_sqrt_v_dZ - 0.5 * ratios**2 * int_v
         return np.exp(out, out=out)
 
     c = _Consumer(rows)

@@ -151,7 +151,7 @@ def _terminal_paths(econ: EconomyParams, agg: AggregateParams, sol: RiccatiSolut
     + sigma_Y int sqrt(v) dW``.
     """
     log_xi = _log_exp_martingale(bundle, terminal_mpr(sol, agg, bundle.times[:-1], econ.horizon))
-    _, int_v, int_sqrt_v_dW = bundle._terminal_integrals()
+    int_v, int_sqrt_v_dW = bundle._terminal_integrals()
     income_end = np.empty((econ.n_investors, bundle.n_paths))
     for i, inv in enumerate(econ.investors):
         drift_v = inv.kappa_Y - 0.5 * inv.beta_Y**2 / inv.tau

@@ -4,6 +4,7 @@ increments, the increment-free terminal check and shared chunk loops."""
 from __future__ import annotations
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -102,6 +103,20 @@ class TestSharedChunkLoop:
                 dynamics._martingale_plan(econ, _sim(seed=6)),
             )
 
+    def test_previous_chunk_is_freed_before_the_next(self, monkeypatch):
+        simulate_chunk = dynamics._simulate_chunk
+        made = []
+
+        def spy(ctx, seed, m):
+            assert all(ref() is None for ref in made), "a previous chunk's bundle is alive"
+            bundle = simulate_chunk(ctx, seed, m)
+            made.append(weakref.ref(bundle))
+            return bundle
+
+        monkeypatch.setattr(dynamics, "_simulate_chunk", spy)
+        martingale_checks(heterogeneous_economy(), _sim(chunk_size=16))
+        assert len(made) == 4
+
 
 def _peak_bytes(fn) -> int:
     tracemalloc.start()
@@ -120,3 +135,10 @@ def test_memory_is_bounded_by_one_investor(check):
     sim = SimConfig(n_paths=256, seed=3, antithetic=False)
     full_block = econ.n_investors * sim.n_paths * sim.n_steps(econ.horizon) * 8
     assert _peak_bytes(lambda: check(econ, sim)) < full_block / 2
+
+
+def test_martingale_check_draws_no_increment_block():
+    econ = reference_economy(256)
+    sim = SimConfig(n_paths=256, seed=3, antithetic=False)
+    full_dz = econ.n_investors * sim.n_paths * sim.n_steps(econ.horizon) * 8
+    assert _peak_bytes(lambda: martingale_checks(econ, sim)) < full_dz / 20
