@@ -362,8 +362,6 @@ def _verify_suite(econ: EconomyParams, suite: str, seed: int, n_paths: int) -> l
         share = (time.perf_counter() - t0) / sum(k for _, _, k in sources)
         done.update((name, (out, share)) for (name, _, _), out in zip(sources, outs))
 
-    # the stream with the largest working set runs first: the later, smaller
-    # ones then fit in memory the process already holds
     stream(
         ("martingale", partial(dyn._martingale_plan, econ, full), econ.n_investors + 1,
          want("martingale")),

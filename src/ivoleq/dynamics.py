@@ -18,11 +18,9 @@ discrete analogue:
 * state and income paths advance by left-endpoint Euler steps.
 
 Each convention has one implementation: ``_euler_step`` is the only
-full-truncation Euler update (chunked simulation, the coupled coarse grids
-and the nested budget simulation call it); ``_log_exp_martingale`` is the
-left-point density with one coefficient per step on the traded shock, used
-by the forward-measure premium and the terminal deflator of
-:mod:`ivoleq.terminal`; ``_Moments`` is the one mean and standard-error
+full-truncation Euler update (only the chunk walk calls it);
+``_log_exp_martingale`` is the left-point density with one coefficient per
+step on the traded shock; ``_Moments`` is the one mean and standard-error
 accumulator, taking antithetic pair means as the sample unit and merging
 chunks by the pairwise update of Chan, Golub and LeVeque (1979).
 
@@ -33,52 +31,45 @@ order-of-convergence check measures.
 
 Paths are generated in fixed-size chunks, each from its own counter-based
 stream spawned from the run seed, so estimates do not depend on how the
-chunks are scheduled and any chunk can be regenerated in isolation.
+chunks are scheduled and any chunk can be regenerated in isolation.  Every
+random block is drawn once, and only when a functional reads it.
 
-Every random block is drawn once, and only when a functional reads it.  A
-chunk's idiosyncratic increments come from one stream, drawn one investor
-block at a time in investor order into one reused buffer, so per-investor
-functionals hold one block rather than all investors'; the terminal-wealth
-checks read only insured income and draw none.  Each estimator is a plan of
-consumers fed by ``_run``, the one chunk loop; plans that read the same
-stream share one loop, so the ``verify`` command generates each distinct
-path set once.
+Estimators walk each chunk once (``_Chunk.walk``): the state advances a
+step at a time, and the integrals they share, ``int v dt``,
+``int sqrt(v) dW`` and the trapezoid ``int r dt``, run as one value per
+path.  ``_run``, the one chunk loop, feeds each estimator's consumer an
+update at every grid point and takes its per-path rows at the horizon, so
+no estimator holds a (paths, steps + 1) array and plans on one stream
+share one walk; the terminal-wealth check walks its paths too.  Only
+:func:`simulate` stores full paths, in a ``PathBundle``, for the pathwise
+clearing, first-order-condition and budget checks; it draws the
+idiosyncratic increments one investor block at a time into one buffer.
 
-Terminal and time-integrated per-investor functionals never build
-per-investor paths.  Every per-investor path is affine in ``t``,
-``int v dt`` and ``int sqrt(v) dW``, which all investors share; a belief
-density adds the investor's own ``int sqrt(v) dZ_i``.  So the pricing
-density at the horizon and terminal insured income are combinations of
-per-path row reductions (``PathBundle._terminal_integrals``), and the budget
-integral of consumption
-``C_i(t_k) = sum_{j<k} (a_i dt + b_i v_j dt + d_i sqrt(v_j) dW_j)`` follows
-by summation by parts: with ``R_k = sum_{k' >= k} w_k' xi_k'`` for
-trapezoid weights ``w``,
+Per-investor functionals are affine in ``t``, ``int v dt`` and
+``int sqrt(v) dW``, which all investors share, plus ``int sqrt(v) dZ_i``
+for a belief density.  So the budget integral of consumption
+``C_i(t_k) = a_i t_k + b_i int_0^{t_k} v dt + d_i int_0^{t_k} sqrt(v) dW``
+takes the forward form of summation by parts, for trapezoid weights ``w``:
 
     sum_k w_k xi_k C_i(t_k) = a_i sum_k w_k xi_k t_k
-                              + b_i dt sum_j v_j R_{j+1}
-                              + d_i sum_j sqrt(v_j) dW_j R_{j+1},
+                              + b_i sum_k w_k xi_k int_0^{t_k} v dt
+                              + d_i sum_k w_k xi_k int_0^{t_k} sqrt(v) dW,
 
-three per-path sums shared by every investor.
-
-The martingale check samples the belief densities at the horizon
-conditionally (Glasserman, Monte Carlo Methods in Financial Engineering,
-section 4.5): the increments ``dZ_i`` are independent of ``v`` and ``dW``,
-so given the paths the discrete ``sum_k sqrt(v_k) dZ_i,k`` is exactly
-normal with variance ``int v dt``, independently across investors.  One
-standard normal ``G_i`` per investor and path, scaled by
-``sqrt(int v dt)``, therefore has the joint law of the full sum, and each
-investor costs work in the number of paths only.  ``G`` comes from its own
-stream, the third child of the chunk seed (``PathBundle._belief_normals``).
-The ``dZ`` blocks serve only the full paths of ``income_paths`` and
-``log_belief_density``.
+three running sums shared by every investor.  The martingale check samples
+each belief density at the horizon conditionally (Glasserman, Monte Carlo
+Methods in Financial Engineering, section 4.5): ``dZ`` is independent of
+``v`` and ``dW``, so given the paths the discrete ``sum_k sqrt(v_k) dZ_i,k``
+is exactly normal with variance ``int v dt``, independently across
+investors, and one standard normal per investor and path from a third
+chunk stream (``_Chunk._belief_normals``), scaled by ``sqrt(int v dt)``,
+has the joint law of the full sums.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Iterator
 
 import numpy as np
 from numpy.typing import NDArray
@@ -180,7 +171,7 @@ class McEstimate:
 class _SimContext:
     """Precomputed per-run constants shared by every chunk."""
 
-    def __init__(self, econ: EconomyParams, sim: SimConfig, horizon: float):
+    def __init__(self, econ: EconomyParams, sim: SimConfig, horizon: float, benchmark=False):
         if horizon > econ.horizon + 1e-12:
             raise ValueError(
                 f"simulation horizon {horizon} exceeds economy horizon {econ.horizon}"
@@ -211,6 +202,8 @@ class _SimContext:
         else:
             self.kappa_grid = np.full(self.n_steps, kappa_eff)
         self.kappa_eff = kappa_eff
+        # the spot rate the walk discounts at: full insurance for the benchmark
+        self.rate_slope = self.agg.rate_slope_rep if benchmark else self.agg.rate_slope
 
         if sim.antithetic and sim.scheme == "euler" and sim.n_paths % 2:
             raise ValueError("antithetic sampling needs an even n_paths")
@@ -224,36 +217,32 @@ class _SimContext:
 
 
 class PathBundle:
-    """Jointly simulated paths plus lazily derived processes.
+    """Full jointly simulated paths plus lazily derived processes.
 
-    ``v`` has shape (paths, steps + 1); increment arrays have shape
-    (paths, steps).  ``dW`` holds increments of the Brownian motion of the
-    simulation measure and is ``None`` under the exact scheme.  The
-    idiosyncratic increments ``dZ`` come from a dedicated stream, drawn one
-    investor block at a time and in investor order, so the per-investor
-    functionals hold one block instead of all investors' and a bundle no
-    functional asks for them never draws them.  The ``dZ`` property draws
-    the whole (investors, paths, steps) block from the same stream; its
-    slices equal the streamed blocks bit for bit.  Only the full paths of
-    ``income_paths`` and ``log_belief_density`` read ``dZ``.  The public
-    methods build full paths; the estimators read terminal and integrated
-    values through ``_terminal_integrals`` instead, and the martingale check
-    reads each belief density at the horizon through one conditional normal
-    per investor and path (``_belief_normals``, from a third stream).
+    Only :func:`simulate` builds one; the estimators walk their chunks and
+    never hold full paths.  ``v`` has shape (paths, steps + 1); increment
+    arrays have shape (paths, steps).  ``dW`` holds increments of the
+    Brownian motion of the simulation measure and is ``None`` under the
+    exact scheme.  The idiosyncratic increments ``dZ`` come from a dedicated
+    stream, drawn one investor block at a time and in investor order, so the
+    per-investor functionals hold one block instead of all investors' and a
+    bundle no functional asks for them never draws them.  The ``dZ``
+    property draws the whole (investors, paths, steps) block from the same
+    stream; its slices equal the streamed blocks bit for bit.  Only the full
+    paths of ``income_paths`` and ``log_belief_density`` read ``dZ``.
     """
 
-    def __init__(self, ctx: _SimContext, v, dW, z_seed, g_seed, antithetic_pairs: bool):
+    def __init__(self, ctx: _SimContext, v, dW, z_seed, antithetic_pairs: bool):
+        self._ctx = ctx  # the settings the paths were drawn under
         self.econ = ctx.econ
         self.agg = ctx.agg
         self.measure = ctx.sim.measure
-        self.scheme = ctx.sim.scheme
         self.times = ctx.times
         self.dt = ctx.dt
         self.v = v
         self.dW = dW
         self.antithetic_pairs = antithetic_pairs
         self._z_seed = z_seed
-        self._g_seed = g_seed
         self._dZ: NDArray[np.float64] | None = None
         self._z_gen = None  # stream position: the generator after block _z_index
         self._z_index = -1
@@ -267,31 +256,11 @@ class PathBundle:
     def n_steps(self) -> int:
         return self.v.shape[1] - 1
 
-    @staticmethod
-    def _stream(seed) -> np.random.Generator:
-        if seed is None:
-            raise ValueError("bundle was built without idiosyncratic increments")
-        return np.random.Generator(np.random.Philox(seed))
-
-    def _belief_normals(self) -> NDArray[np.float64]:
-        """One standard normal per investor and path, shape (investors, paths).
-
-        Scaled by ``sqrt(int v dt)`` at the horizon, row i has the law of
-        investor i's ``int sqrt(v) dZ_i`` given the paths (see the module
-        docstring).  Every call draws the same values.
-        """
-        return self._stream(self._g_seed).standard_normal((self.econ.n_investors, self.n_paths))
-
-    def _draw_dz(self, gen: np.random.Generator, out: NDArray[np.float64]) -> NDArray[np.float64]:
-        gen.standard_normal(out=out)
-        out *= math.sqrt(self.dt)
-        return out
-
     @property
     def dZ(self) -> NDArray[np.float64]:
         if self._dZ is None:
             shape = (self.econ.n_investors, self.n_paths, self.n_steps)
-            self._dZ = self._draw_dz(self._stream(self._z_seed), np.empty(shape))
+            self._dZ = _draw_increments(_philox(self._z_seed), np.empty(shape), self.dt)
         return self._dZ
 
     def _dz_block(self, i: int) -> NDArray[np.float64]:
@@ -306,19 +275,13 @@ class PathBundle:
             return self._dZ[i]
         i = range(self.econ.n_investors)[i]
         if i < self._z_index or self._z_gen is None:
-            self._z_gen, self._z_index = self._stream(self._z_seed), -1
+            self._z_gen, self._z_index = _philox(self._z_seed), -1
         if self._z_block is None:
             self._z_block = np.empty((self.n_paths, self.n_steps))
         while self._z_index < i:
-            self._draw_dz(self._z_gen, self._z_block)
+            _draw_increments(self._z_gen, self._z_block, self.dt)
             self._z_index += 1
         return self._z_block
-
-    def _need_dw(self) -> NDArray[np.float64]:
-        if self.dW is None:
-            raise ValueError("this functional needs Brownian increments; "
-                             "the exact scheme does not produce them")
-        return self.dW
 
     # -- running integrals (cumulative, shape (paths, steps + 1)) -------
 
@@ -329,7 +292,7 @@ class PathBundle:
         return out
 
     def int_sqrt_v_dW(self) -> NDArray[np.float64]:
-        dW = self._need_dw()
+        dW = _need_dw(self.dW)
         out = np.zeros_like(self.v)
         np.cumsum(np.sqrt(self.v[:, :-1]) * dW, axis=1, out=out[:, 1:])
         return out
@@ -341,15 +304,6 @@ class PathBundle:
         out = np.zeros_like(self.v)
         np.cumsum(0.5 * (r[:, :-1] + r[:, 1:]) * self.dt, axis=1, out=out[:, 1:])
         return out
-
-    def _terminal_integrals(self):
-        """``int v dt`` and ``int sqrt(v) dW`` at the horizon, per path.
-
-        The last columns of :meth:`int_v` and :meth:`int_sqrt_v_dW`, taken
-        by row reductions.
-        """
-        vp = self.v[:, :-1]
-        return vp.sum(axis=1) * self.dt, np.einsum("ij,ij->i", np.sqrt(vp), self._need_dw())
 
     # -- densities ------------------------------------------------------
 
@@ -385,7 +339,7 @@ class PathBundle:
         needs no idiosyncratic increments.
         """
         inv = self.econ.investors[i]
-        dW = self._need_dw()
+        dW = _need_dw(self.dW)
         vp = self.v[:, :-1]
         comp = 0.5 * inv.beta_Y**2 / inv.tau
         dY_ins = (inv.mu_Y + (inv.kappa_Y - comp) * vp) * self.dt + np.sqrt(vp) * (
@@ -416,7 +370,7 @@ class PathBundle:
     def consumption_cum(self, i: int) -> NDArray[np.float64]:
         """Cumulative optimal-consumption increments (zero initial level)."""
         coeffs = optimal_consumption_coeffs(self.agg, self.econ.investors[i])
-        dW = self._need_dw()
+        dW = _need_dw(self.dW)
         vp = self.v[:, :-1]
         dc = (coeffs.drift_const + coeffs.drift_v * vp) * self.dt + (
             coeffs.diffusion * np.sqrt(vp) * dW
@@ -424,6 +378,27 @@ class PathBundle:
         out = np.zeros_like(self.v)
         np.cumsum(dc, axis=1, out=out[:, 1:])
         return out
+
+
+def _philox(seed) -> np.random.Generator:
+    if seed is None:
+        raise ValueError("these paths were built without this random stream")
+    return np.random.Generator(np.random.Philox(seed))
+
+
+def _draw_increments(gen: np.random.Generator, out, dt: float) -> NDArray[np.float64]:
+    """Fill ``out`` in place with Brownian increments over steps of length ``dt``."""
+    gen.standard_normal(out=out)
+    out *= math.sqrt(dt)
+    return out
+
+
+def _need_dw(source):
+    """Refuse a functional of the state increments on exact-scheme paths."""
+    if source is None:
+        raise ValueError("this functional needs Brownian increments; "
+                         "the exact scheme does not produce them")
+    return source
 
 
 def _euler_step(vol, x, kappa, dt, dW):
@@ -438,51 +413,118 @@ def _euler_step(vol, x, kappa, dt, dW):
     return x + (vol.mu_v + kappa * vp) * dt + vol.sigma_v * root * dW, vp, root
 
 
-def _euler_bundle(
-    ctx: _SimContext, dW, z_seed=None, g_seed=None, antithetic_pairs=False
-) -> PathBundle:
-    """Euler bundle on the context's grid; only the clipped state is stored."""
-    vol = ctx.econ.vol
-    x = np.full(dW.shape[0], vol.v0)
-    v = np.empty((dW.shape[0], dW.shape[1] + 1))
-    v[:, 0] = vol.v0
-    for k in range(dW.shape[1]):
-        x, _, _ = _euler_step(vol, x, ctx.kappa_grid[k], ctx.dt, dW[:, k])
-        v[:, k + 1] = np.maximum(x, 0.0)
-    return PathBundle(ctx, v, dW, z_seed, g_seed, antithetic_pairs)
+class _Chunk:
+    """One chunk of paths, advanced a step at a time by :meth:`walk`.
 
+    ``draw(k)`` gives step k's state increments; it is ``None`` under the
+    exact scheme, whose walk draws the state itself.  ``dW`` is the
+    (paths, steps) increment block when there is one, read only to build
+    full paths.  At grid point ``k``, ``v`` is the clipped state at ``t_k``;
+    ``int_v``, ``int_sqrt_v_dW`` and ``int_r`` are the left-point integrals of
+    ``v dt`` and ``sqrt(v) dW`` and the trapezoid integral of the spot rate to
+    ``t_k``, per path, each equal bit for bit to the ``PathBundle`` column;
+    ``vp``, ``root`` and ``dw`` are the last step's clipped left state, its
+    square root and its increment.
+    """
 
-def _simulate_chunk(ctx: _SimContext, seed, m: int) -> PathBundle:
-    # a child depends only on its index, so the first two equal spawn(2)'s
-    w_seed, z_seed, g_seed = seed.spawn(3)
-    gen = np.random.Generator(np.random.Philox(w_seed))
-    vol = ctx.econ.vol
-    K = ctx.n_steps
-    dt = ctx.dt
+    def __init__(self, ctx: _SimContext, m: int, dW=None, seeds=(None, None, None),
+                 antithetic_pairs=False, v0=None, draw=None):
+        self.ctx = ctx
+        self.m = m
+        self.n_steps, self.dt, self.times = ctx.n_steps, ctx.dt, ctx.times
+        self.dW = dW
+        self.draw = draw if dW is None else lambda k: np.ascontiguousarray(dW[:, k])
+        self.antithetic_pairs = antithetic_pairs
+        self._w_seed, self.z_seed, self._g_seed = seeds
+        self._v0 = np.full(m, ctx.econ.vol.v0) if v0 is None else v0
 
-    if ctx.sim.scheme == "exact":
-        v = np.empty((m, K + 1))
-        v[:, 0] = vol.v0
-        sig2 = vol.sigma_v**2
-        df = 4.0 * vol.mu_v / sig2
-        kt = -ctx.kappa_eff  # reversion speed of the transition law
-        if kt == 0.0:
-            c = 2.0 / (sig2 * dt)
-            decay = 1.0
-        else:
-            c = 2.0 * kt / (sig2 * -math.expm1(-kt * dt))
+    def _belief_normals(self) -> NDArray[np.float64]:
+        """One standard normal per investor and path, the same on every call;
+        times ``sqrt(int v dt)``, row i has the law of ``int sqrt(v) dZ_i``."""
+        return _philox(self._g_seed).standard_normal((self.ctx.econ.n_investors, self.m))
+
+    def walk(self, sums: bool = True):
+        """Advance the state one step at a time, yielding at t_0, ..., t_K;
+        ``sums=False`` keeps no running integrals, for a walk that reads only ``v``."""
+        ctx, vol, dt = self.ctx, self.ctx.econ.vol, self.dt
+        intercept, slope = ctx.agg.rate_intercept, ctx.rate_slope
+        x = self.v = self._v0  # x is the raw Euler state
+        if sums:
+            self.int_v, self.int_r = np.zeros(self.m), np.zeros(self.m)
+            if self.draw is not None:
+                self.int_sqrt_v_dW = np.zeros(self.m)
+            r = intercept + slope * self.v
+        yield
+        if self.draw is None:  # exact transition law: a scaled noncentral chi-square
+            gen = _philox(self._w_seed)
+            sig2 = vol.sigma_v**2
+            df = 4.0 * vol.mu_v / sig2
+            kt = -ctx.kappa_eff  # reversion speed of the transition law
+            c = 2.0 / (sig2 * dt) if kt == 0.0 else 2.0 * kt / (sig2 * -math.expm1(-kt * dt))
             decay = math.exp(-kt * dt)
-        for k in range(K):
-            nonc = 2.0 * c * v[:, k] * decay
-            v[:, k + 1] = gen.noncentral_chisquare(df, nonc) / (2.0 * c)
-        return PathBundle(ctx, v, None, z_seed, g_seed, antithetic_pairs=False)
+        for k in range(self.n_steps):
+            if self.draw is None:
+                self.vp = self.v
+                self.v = gen.noncentral_chisquare(df, 2.0 * c * self.vp * decay) / (2.0 * c)
+            else:
+                self.dw = self.draw(k)
+                x, self.vp, self.root = _euler_step(vol, x, ctx.kappa_grid[k], dt, self.dw)
+                self.v = np.maximum(x, 0.0)
+                if sums:
+                    self.int_sqrt_v_dW += self.root * self.dw
+            if sums:
+                self.int_v += self.vp * dt
+                r_next = intercept + slope * self.v
+                self.int_r += 0.5 * (r + r_next) * dt
+                r = r_next
+            yield
 
+
+def _walk_rows(chunk: _Chunk, consumers) -> list:
+    """Walk a chunk once, feeding every consumer in step; returns their rows.
+
+    A consumer is a generator function of the chunk, resumed at each grid
+    point t_0, ..., t_K once the walk stands there; it yields its rows at t_K.
+    """
+    gens = [c(chunk) for c in consumers]
+    for _ in chunk.walk():
+        rows = [next(g) for g in gens]
+    return rows
+
+
+def _then(chunk: _Chunk, fn, *parts):
+    """Consumer yielding ``fn(chunk, *rows of parts)`` at t_K.
+
+    The ``parts`` consumers are resumed in step with the walk; with none,
+    ``fn`` reads only the walk's end state.
+    """
+    for _ in range(chunk.n_steps):
+        for p in parts:
+            next(p)
+        yield
+    yield fn(chunk, *(next(p) for p in parts))
+
+
+def _simulate_chunk(ctx: _SimContext, seed, m: int) -> _Chunk:
+    """A chunk with its state increments drawn in place; its walk generates the state."""
+    # state, idiosyncratic and belief streams; a child depends only on its
+    # index, so the first two equal spawn(2)'s
+    seeds = seed.spawn(3)
+    if ctx.sim.scheme == "exact":
+        return _Chunk(ctx, m, None, seeds)
+    dW = np.empty((m, ctx.n_steps))
+    half = _draw_increments(_philox(seeds[0]), dW[: m // 2] if ctx.sim.antithetic else dW, ctx.dt)
     if ctx.sim.antithetic:
-        base = gen.standard_normal((m // 2, K))
-        dW = math.sqrt(dt) * np.concatenate([base, -base], axis=0)
-    else:
-        dW = math.sqrt(dt) * gen.standard_normal((m, K))
-    return _euler_bundle(ctx, dW, z_seed, g_seed, antithetic_pairs=ctx.sim.antithetic)
+        np.negative(half, out=dW[m // 2 :])
+    return _Chunk(ctx, m, dW, seeds, ctx.sim.antithetic)
+
+
+def _bundle(chunk: _Chunk) -> PathBundle:
+    """Full paths of a chunk: its walked state and its increments."""
+    v = np.empty((chunk.m, chunk.n_steps + 1))
+    for k, _ in enumerate(chunk.walk(sums=False)):
+        v[:, k] = chunk.v
+    return PathBundle(chunk.ctx, v, chunk.dW, chunk.z_seed, chunk.antithetic_pairs)
 
 
 def _iter_chunks(ctx: _SimContext):
@@ -495,12 +537,17 @@ def _iter_chunks(ctx: _SimContext):
 def simulate(
     econ: EconomyParams, sim: SimConfig, horizon: float | None = None
 ) -> PathBundle:
-    """Simulate one bundle of paths over ``[0, horizon]``.
+    """Simulate one bundle of full paths over ``[0, horizon]``.
 
     Materializes everything in a single chunk, so it is meant for the
     pathwise identity checks at moderate path counts; the estimator
-    functions below stream chunks instead and never hold all paths at once.
+    functions below walk chunks instead and never hold full paths.
     """
+    return _bundle(_one_chunk(econ, sim, horizon))
+
+
+def _one_chunk(econ: EconomyParams, sim: SimConfig, horizon: float | None = None) -> _Chunk:
+    """The paths of :func:`simulate` as one chunk, to walk instead of store."""
     ctx = _SimContext(econ, sim, econ.horizon if horizon is None else horizon)
     seed = np.random.SeedSequence(sim.seed).spawn(1)[0]
     return _simulate_chunk(ctx, seed, sim.n_paths)
@@ -552,62 +599,69 @@ class _Moments:
 
 
 @dataclass
-class _Consumer:
-    """Per-path rows of one estimator and the moments they accumulate.
+class _Plan:
+    """An estimator as a path stream, a consumer and a finishing step.
 
-    ``rows`` maps a bundle to one value per path, or to stacked rows of
-    them; ``paired`` folds antithetic mirrors into pair means when the
-    bundle has them.
+    ``rows`` is a consumer of the chunk walk (see :func:`_walk_rows`) whose
+    rows hold one value per path, or stacked rows of them; ``finish`` maps
+    their moments, with antithetic mirrors folded into pair means, to the
+    estimator's result.
     """
 
-    rows: Callable[[PathBundle], NDArray[np.float64]]
-    paired: bool = True
-    acc: _Moments = field(default_factory=_Moments)
-
-
-@dataclass
-class _Plan:
-    """An estimator as a path stream, its consumers and a finishing step."""
-
     ctx: _SimContext
-    consumers: tuple[_Consumer, ...]
-    finish: Callable[[], Any]
+    rows: Callable[[_Chunk], Iterator]
+    finish: Callable[[_Moments], Any]
 
 
 def _run(*plans: _Plan) -> list:
-    """The one chunk loop: each chunk of a shared stream feeds every consumer.
+    """The one chunk loop: one walk of each chunk of a shared stream feeds every consumer.
 
-    The plans must simulate the same stream (economy, settings, horizon).
-    Consumers run one after another on each bundle, so peak memory is that
-    of the largest consumer, not their sum.  Returns each plan's result.
+    The plans must walk the same stream (economy, settings, horizon and
+    rate).  Returns each plan's result.
     """
     ctx = plans[0].ctx
-    key = (ctx.econ, ctx.sim, ctx.horizon)
-    if any((p.ctx.econ, p.ctx.sim, p.ctx.horizon) != key for p in plans[1:]):
+    key = (ctx.econ, ctx.sim, ctx.horizon, ctx.rate_slope)
+    if any((p.ctx.econ, p.ctx.sim, p.ctx.horizon, p.ctx.rate_slope) != key for p in plans[1:]):
         raise ValueError("plans on different path streams cannot share a chunk loop")
-    consumers = [c for p in plans for c in p.consumers]
-    for bundle in _iter_chunks(ctx):
-        for c in consumers:
-            c.acc.add(c.rows(bundle), c.paired and bundle.antithetic_pairs)
-        del bundle  # free this chunk's paths before the next chunk is simulated
-    return [p.finish() for p in plans]
+    accs = [_Moments() for _ in plans]
+    for chunk in _iter_chunks(ctx):
+        for acc, rows in zip(accs, _walk_rows(chunk, [p.rows for p in plans])):
+            acc.add(rows, chunk.antithetic_pairs)
+        del chunk  # free this chunk's increments before the next chunk is drawn
+    return [p.finish(acc) for p, acc in zip(plans, accs)]
 
 
 def _mean_plan(ctx: _SimContext, rows) -> _Plan:
     """Plan of one estimate: the mean of a per-path functional."""
-    c = _Consumer(rows)
-    return _Plan(ctx, (c,), lambda: c.acc.estimate(ctx.sim))
+    return _Plan(ctx, rows, lambda acc: acc.estimate(ctx.sim))
 
 
-def _log_exp_martingale(bundle: PathBundle, coeff) -> NDArray[np.float64]:
-    """Terminal log of the left-point exponential martingale, per path.
+def _discount(chunk: _Chunk):
+    """Consumer: the trapezoid discount factor at the horizon."""
+    return _then(chunk, lambda ch: np.exp(-ch.int_r))
 
-    ``coeff`` holds one deterministic coefficient per step; the martingale
-    loads ``-coeff * sqrt(v)`` on the traded shock.
-    """
-    vp = bundle.v[:, :-1]
-    stoch = np.einsum("ij,ij,j->i", np.sqrt(vp), bundle._need_dw(), coeff)
-    return -stoch - 0.5 * bundle.dt * np.einsum("ij,j->i", vp, coeff**2)
+
+def _discount_integral(chunk: _Chunk):
+    """Consumer: the trapezoid time integral of the discount factor."""
+    disc, total = np.ones(chunk.m), np.zeros(chunk.m)
+    for _ in range(chunk.n_steps):
+        yield
+        new = np.exp(-chunk.int_r)
+        total += disc + new
+        disc = new
+    yield 0.5 * total * chunk.dt
+
+
+def _log_exp_martingale(chunk: _Chunk, coeff):
+    """Consumer: terminal log of the left-point exponential martingale that
+    loads ``-coeff * sqrt(v)`` on the traded shock, one coefficient per step."""
+    _need_dw(chunk.draw)
+    stoch, quad = np.zeros(chunk.m), np.zeros(chunk.m)
+    for k in range(chunk.n_steps):
+        yield
+        stoch += coeff[k] * chunk.root * chunk.dw
+        quad += coeff[k] ** 2 * chunk.vp
+    yield -stoch - 0.5 * chunk.dt * quad
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +679,7 @@ def cir_mean(mu: float, kappa: float, v0: float, t) -> float:
 def mc_state_mean(econ: EconomyParams, sim: SimConfig, horizon: float | None = None) -> McEstimate:
     """Sample mean of the terminal variance state."""
     ctx = _SimContext(econ, sim, econ.horizon if horizon is None else horizon)
-    return _run(_mean_plan(ctx, lambda b: b.v[:, -1]))[0]
+    return _run(_mean_plan(ctx, lambda ch: _then(ch, lambda ch: ch.v)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -652,8 +706,7 @@ def mc_bond_price(
 
 
 def _bond_plan(econ: EconomyParams, U: float, sim: SimConfig, benchmark: bool = False) -> _Plan:
-    ctx = _SimContext(econ, _require_measure(sim, "Qmin"), U)
-    return _mean_plan(ctx, lambda b: np.exp(-b.int_rate(benchmark)[:, -1]))
+    return _mean_plan(_SimContext(econ, _require_measure(sim, "Qmin"), U, benchmark), _discount)
 
 
 def mc_annuity(
@@ -664,23 +717,26 @@ def mc_annuity(
 
 
 def _annuity_plan(econ: EconomyParams, sim: SimConfig, benchmark: bool = False) -> _Plan:
-    ctx = _SimContext(econ, _require_measure(sim, "Qmin"), econ.horizon)
-
-    def pathwise(b: PathBundle):
-        disc = np.exp(-b.int_rate(benchmark))
-        return 0.5 * (disc[:, :-1] + disc[:, 1:]).sum(axis=1) * b.dt
-
-    return _mean_plan(ctx, pathwise)
+    ctx = _SimContext(econ, _require_measure(sim, "Qmin"), econ.horizon, benchmark)
+    return _mean_plan(ctx, _discount_integral)
 
 
 # ---------------------------------------------------------------------------
 # forward measure and risk premia
 
 
-def _terminal_security_values(
-    bundle: PathBundle, sol: RiccatiSolution, security: str, U: float
-):
-    """Time-U value of a self-financing test security, per path.
+def _closed_forms(econ: EconomyParams, security: str, U: float):
+    """Aggregates, exponents, time-0 price of a test security and of the U-bond."""
+    agg = require_valid(econ)
+    sol = solve_closed_form(market_coeffs(agg), econ.horizon)
+    v0 = agg.vol.v0
+    x0 = bond_price(sol, 0.0, econ.horizon, v0) if security == "bond" else annuity_price(
+        sol, 0.0, v0, econ.horizon)
+    return agg, sol, x0, bond_price(sol, 0.0, U, v0)
+
+
+def _security_values(chunk: _Chunk, sol: RiccatiSolution, security: str, U: float):
+    """Consumer: time-U value of a self-financing test security, per path.
 
     "bond": the longest-maturity zero-coupon bond, valued by the closed
     form at the simulated terminal state.  "annuity": the dividend-paying
@@ -688,24 +744,21 @@ def _terminal_security_values(
     self-financing; its value adds the accrued, rolled-up dividend account
     to the closed-form ex-dividend price.
     """
-    T = bundle.econ.horizon
-    v_U = bundle.v[:, -1]
+    T = chunk.ctx.econ.horizon
     if security == "bond":
-        s = T - U
-        return np.exp(sol.eval_b(s) * v_U - sol.eval_a(s))
-    if security == "annuity":
-        disc = np.exp(-bundle.int_rate())
-        accrued = 0.5 * (disc[:, :-1] + disc[:, 1:]).sum(axis=1) * bundle.dt / disc[:, -1]
-        if U == T:
-            spot = np.zeros_like(v_U)
-        else:
-            # ex-dividend price, affine in the terminal state per quadrature node
-            nodes, weights = quad_nodes(U, T)
-            s = nodes - U
-            node_prices = np.exp(np.outer(v_U, sol.eval_b(s)) - sol.eval_a(s))
-            spot = np.einsum("ij,j->i", node_prices, weights)
-        return spot + accrued
-    raise ValueError(f"security must be 'bond' or 'annuity', got {security!r}")
+        b, a = sol.eval_b(T - U), sol.eval_a(T - U)
+        return _then(chunk, lambda ch: np.exp(b * ch.v - a))
+    if security != "annuity":
+        raise ValueError(f"security must be 'bond' or 'annuity', got {security!r}")
+
+    def value(ch: _Chunk, accrual):
+        # ex-dividend price, affine in the terminal state per quadrature node
+        # (zero weights when U == T)
+        nodes, weights = quad_nodes(U, T)
+        node_prices = np.exp(np.outer(ch.v, sol.eval_b(nodes - U)) - sol.eval_a(nodes - U))
+        return np.einsum("ij,j->i", node_prices, weights) + accrual / np.exp(-ch.int_r)
+
+    return _then(chunk, value, _discount_integral(chunk))
 
 
 def verify_forward_measure(
@@ -724,23 +777,12 @@ def verify_forward_measure(
 
 
 def _forward_plan(econ: EconomyParams, U: float, sim: SimConfig, security: str) -> _Plan:
-    agg = require_valid(econ)
-    sol = solve_closed_form(market_coeffs(agg), econ.horizon)
-    x0 = (
-        bond_price(sol, 0.0, econ.horizon, agg.vol.v0)
-        if security == "bond"
-        else annuity_price(sol, 0.0, agg.vol.v0, econ.horizon)
-    )
-    target = (1.0 - bond_price(sol, 0.0, U, agg.vol.v0)) / bond_price(
-        sol, 0.0, U, agg.vol.v0
-    )
+    _, sol, x0, b_0U = _closed_forms(econ, security, U)
+    target = (1.0 - b_0U) / b_0U
     ctx = _SimContext(econ, replace(sim, measure="QU", horizon_U=U), U)
-
-    def pathwise(b: PathBundle):
-        x_U = _terminal_security_values(b, sol, security, U)
-        return (x_U - x0) / x0 - target
-
-    return _mean_plan(ctx, pathwise)
+    return _mean_plan(ctx, lambda ch: _then(
+        ch, lambda ch, x_U: (x_U - x0) / x0 - target, _security_values(ch, sol, security, U)
+    ))
 
 
 @dataclass(frozen=True)
@@ -769,43 +811,30 @@ def mc_risk_premium(
 
 
 def _premium_plan(econ: EconomyParams, U: float, security: str, sim: SimConfig) -> _Plan:
-    agg = require_valid(econ)
-    sol = solve_closed_form(market_coeffs(agg), econ.horizon)
-    b_0U = bond_price(sol, 0.0, U, agg.vol.v0)
-    x0 = (
-        bond_price(sol, 0.0, econ.horizon, agg.vol.v0)
-        if security == "bond"
-        else annuity_price(sol, 0.0, agg.vol.v0, econ.horizon)
-    )
+    agg, sol, x0, b_0U = _closed_forms(econ, security, U)
     riskless = (1.0 - b_0U) / b_0U
     ctx = _SimContext(econ, _require_measure(sim, "P"), U)
     # the forward-measure density loads the discrete price of risk
     coeff = discrete_mpr(sol, agg, ctx.times[:-1], U)
-    paths = {}  # excess_rows stores the bundle's density and value; raw_rows, run next, reads them
 
-    def excess_rows(bundle: PathBundle):  # simple excess return and identity gap
-        x_U = _terminal_security_values(bundle, sol, security, U)
-        m = np.exp(_log_exp_martingale(bundle, coeff))
-        paths.update(m=m, x_U=x_U)
-        return np.stack([(x_U - x0) / x0 - riskless, m * x_U / x0 - 1.0 / b_0U])
+    def rows(ch: _Chunk, x_U, log_m):
+        # simple excess return and identity gap, then density, value and their product
+        m = np.exp(log_m)
+        return np.stack([(x_U - x0) / x0 - riskless, m * x_U / x0 - 1.0 / b_0U, m, x_U, m * x_U])
 
-    def raw_rows(bundle: PathBundle):  # density, value and their product, unpaired
-        m, x_U = paths["m"], paths["x_U"]
-        return np.stack([m, x_U, m * x_U])
-
-    excess, raw = _Consumer(excess_rows), _Consumer(raw_rows, paired=False)
-
-    def finish() -> RiskPremiumReport:
-        mean_m, mean_x, mean_mx = raw.acc.mean
+    def finish(acc: _Moments) -> RiskPremiumReport:
+        mean_m, mean_x, mean_mx = acc.mean[2:]
         return RiskPremiumReport(
             security=security,
             U=U,
-            premium=excess.acc.estimate(ctx.sim, 0),
+            premium=acc.estimate(ctx.sim, 0),
             covariance_side=float(-(mean_mx - mean_m * mean_x) / x0),
-            identity_gap=excess.acc.estimate(ctx.sim, 1),
+            identity_gap=acc.estimate(ctx.sim, 1),
         )
 
-    return _Plan(ctx, (excess, raw), finish)
+    return _Plan(ctx, lambda ch: _then(
+        ch, rows, _security_values(ch, sol, security, U), _log_exp_martingale(ch, coeff)
+    ), finish)
 
 
 # ---------------------------------------------------------------------------
@@ -874,34 +903,34 @@ def solve_multipliers(econ: EconomyParams, sim: SimConfig) -> MultiplierSolution
     return _run(_multipliers_plan(econ, sim))[0]
 
 
+def _deflated_sums(chunk: _Chunk):
+    """Consumer: the deflated annuity and the three sums every investor's
+    deflated consumption combines (summation by parts, module docstring)."""
+    _need_dw(chunk.draw)
+    mpr = chunk.ctx.agg.mpr_loading
+    sums = np.zeros((4, chunk.m))
+    for k in range(chunk.n_steps + 1):
+        # the state-price density xi_min at t_k, times its trapezoid weight
+        xi = np.exp(-chunk.int_r + (-mpr * chunk.int_sqrt_v_dW - 0.5 * mpr**2 * chunk.int_v))
+        xi *= chunk.dt if 0 < k < chunk.n_steps else 0.5 * chunk.dt
+        sums[0] += xi
+        sums[1] += xi * chunk.times[k]
+        sums[2] += xi * chunk.int_v
+        sums[3] += xi * chunk.int_sqrt_v_dW
+        if k < chunk.n_steps:
+            yield
+    yield sums
+
+
 def _multipliers_plan(econ: EconomyParams, sim: SimConfig) -> _Plan:
     ctx = _SimContext(econ, _require_measure(sim, "P"), econ.horizon)
-    trap_w = np.full(ctx.n_steps + 1, ctx.dt)
-    trap_w[0] = trap_w[-1] = 0.5 * ctx.dt
 
-    def rows(bundle: PathBundle):
-        # the deflated annuity and the three sums every investor's deflated
-        # consumption combines (summation by parts, see the module docstring)
-        tail = bundle.xi_min()
-        tail *= trap_w
-        timed = np.einsum("ij,j->i", tail, bundle.times)
-        np.cumsum(tail[:, ::-1], axis=1, out=tail[:, ::-1])  # tail[:, k] = R_k
-        vp = bundle.v[:, :-1]
-        return np.stack([
-            tail[:, 0],
-            timed,
-            bundle.dt * np.einsum("ij,ij->i", vp, tail[:, 1:]),
-            np.einsum("ij,ij,ij->i", np.sqrt(vp), bundle.dW, tail[:, 1:]),
-        ])
-
-    c = _Consumer(rows)
-
-    def finish() -> MultiplierSolution:
+    def finish(acc: _Moments) -> MultiplierSolution:
         agg = ctx.agg
         x0 = np.array([inv.X0 for inv in econ.investors])
         coeffs = [optimal_consumption_coeffs(agg, inv) for inv in econ.investors]
         a, b, d = np.array([(k.drift_const, k.drift_v, k.diffusion) for k in coeffs]).T
-        annuity, timed, v_sum, w_sum = c.acc.mean
+        annuity, timed, v_sum, w_sum = acc.mean
         c0 = (x0 - (a * timed + b * v_sum + d * w_sum)) / annuity
         y0 = np.array([inv.Y0 for inv in econ.investors])
         tau = np.array([inv.tau for inv in econ.investors])
@@ -910,11 +939,11 @@ def _multipliers_plan(econ: EconomyParams, sim: SimConfig) -> _Plan:
         return MultiplierSolution(
             c0=c0,
             alpha=alpha,
-            annuity_mc=c.acc.estimate(ctx.sim, 0),
+            annuity_mc=acc.estimate(ctx.sim, 0),
             annuity_closed=annuity_price(sol, 0.0, agg.vol.v0, econ.horizon),
         )
 
-    return _Plan(ctx, (c,), finish)
+    return _Plan(ctx, _deflated_sums, finish)
 
 
 @dataclass(frozen=True)
@@ -988,6 +1017,11 @@ def _foc_report(bundle: PathBundle, investor: int = 0, c0: float | None = None) 
     )
 
 
+def _coarse(ctx: _SimContext, dW, factor: int) -> _Chunk:
+    """Paths on ``ctx``'s grid, ``factor`` times coarser than ``dW``'s, from summed increments."""
+    return _Chunk(ctx, dW.shape[0], dW.reshape(dW.shape[0], -1, factor).sum(axis=2))
+
+
 def _require_nested_grid(fine_steps: int, doublings: int) -> None:
     """Reject a fine grid that the coarse levels cannot aggregate evenly."""
     if fine_steps % 2**doublings:
@@ -1027,13 +1061,8 @@ def foc_order(
     for level in range(doublings + 1):
         factor = 2 ** (doublings - level)
         steps = sim.steps_per_year * 2**level
-        if factor == 1:
-            bundle = fine
-        else:
-            K = fine.n_steps // factor
-            dW = fine.dW.reshape(fine.n_paths, K, factor).sum(axis=2)
-            ctx = _SimContext(econ, replace(sim, steps_per_year=steps, measure="P"), econ.horizon)
-            bundle = _euler_bundle(ctx, dW)
+        ctx = _SimContext(econ, replace(sim, steps_per_year=steps, measure="P"), econ.horizon)
+        bundle = fine if factor == 1 else _bundle(_coarse(ctx, fine.dW, factor))
         terms = _foc_terms(bundle, investor, 0.0)
         r_ins = _foc_residual(tau, terms, bundle.insured_income(investor))
         levels.append(steps)
@@ -1064,20 +1093,19 @@ def _martingale_plan(econ: EconomyParams, sim: SimConfig) -> _Plan:
     mpr = ctx.agg.mpr_loading
     ratios = np.array([[inv.beta_Y / inv.tau] for inv in econ.investors])
 
-    def rows(bundle: PathBundle):
+    def rows(ch: _Chunk):
         # the last column of log_density_min, and of log_belief_density(i) in
         # law: int sqrt(v) dZ_i is drawn as sqrt(int v dt) G_i (module docstring)
-        int_v, int_sqrt_v_dW = bundle._terminal_integrals()
-        out = np.empty((n_inv + 1, bundle.n_paths))
-        out[0] = -mpr * int_sqrt_v_dW - 0.5 * mpr**2 * int_v
-        int_sqrt_v_dZ = np.sqrt(int_v) * bundle._belief_normals()
+        _need_dw(ch.draw)
+        int_v = ch.int_v
+        out = np.empty((n_inv + 1, ch.m))
+        out[0] = -mpr * ch.int_sqrt_v_dW - 0.5 * mpr**2 * int_v
+        int_sqrt_v_dZ = np.sqrt(int_v) * ch._belief_normals()
         out[1:] = -ratios * int_sqrt_v_dZ - 0.5 * ratios**2 * int_v
         return np.exp(out, out=out)
 
-    c = _Consumer(rows)
-    return _Plan(
-        ctx, (c,), lambda: [(label, c.acc.estimate(ctx.sim, j)) for j, label in enumerate(labels)]
-    )
+    return _Plan(ctx, lambda ch: _then(ch, rows),
+                 lambda acc: [(label, acc.estimate(ctx.sim, j)) for j, label in enumerate(labels)])
 
 
 @dataclass(frozen=True)
@@ -1124,16 +1152,12 @@ def weak_convergence_study(
 
     sums = np.zeros(doublings + 1)
     n = 0
-    for bundle in _iter_chunks(ctxs[-1]):
+    for chunk in _iter_chunks(ctxs[-1]):
         for level, ctx in enumerate(ctxs):
             factor = 2 ** (doublings - level)
-            if factor == 1:
-                lv = bundle
-            else:
-                K = bundle.n_steps // factor
-                lv = _euler_bundle(ctx, bundle.dW.reshape(bundle.n_paths, K, factor).sum(axis=2))
-            sums[level] += float(np.exp(-lv.int_rate()[:, -1]).sum())
-        n += bundle.n_paths
+            lv = chunk if factor == 1 else _coarse(ctx, chunk.dW, factor)
+            sums[level] += float(_walk_rows(lv, [_discount])[0].sum())
+        n += chunk.m
     means = sums / n
     diffs = np.abs(np.diff(means))
     fit = np.polyfit(
@@ -1229,47 +1253,22 @@ def _nested_budget_tail(
 ):
     """Inner expectations E[int xi du] and E[int xi * cum-increments du].
 
-    One batched simulation covers all outer states: each outer path gets
+    One batched walk covers all outer states: each outer path gets
     ``inner_paths`` fresh continuations started at its variance level, with
-    the deflator restarted at one.  Trapezoid weights accumulate on the
-    fly so no (paths, steps) matrix is ever held.  Returns per-outer-path
-    inner means (a_hat, c_hat).
+    the deflator restarted at one and the increments drawn a step at a time,
+    so no (paths, steps) matrix is ever held.  The integrals are the running
+    sums of the multiplier estimate.  Returns per-outer-path inner means
+    (a_hat, c_hat).
     """
     m_outer = v_start.shape[0]
     if span <= 0.0:
         zeros = np.zeros(m_outer)
         return zeros, zeros
-    K = max(1, round(sim.steps_per_year * span))
-    dt = span / K
-    vol = econ.vol
-    agg = require_valid(econ)
-    coeffs = optimal_consumption_coeffs(agg, econ.investors[investor])
-    mpr = agg.mpr_loading
-
-    gen = np.random.Generator(np.random.Philox(seed))
-    m = m_outer * inner_paths
-    x = np.repeat(v_start, inner_paths)
-    log_mart = np.zeros(m)
-    int_r = np.zeros(m)
-    r_prev = agg.rate_intercept + agg.rate_slope * np.maximum(x, 0.0)
-    c_inc = np.zeros(m)
-    xi = np.ones(m)
-
-    trap_a = 0.5 * dt * xi
-    trap_c = np.zeros(m)  # cum-increments start at zero
-    for k in range(K):
-        dW = math.sqrt(dt) * gen.standard_normal(m)
-        x, vp, root = _euler_step(vol, x, vol.kappa_v, dt, dW)
-        log_mart -= mpr * root * dW + 0.5 * mpr**2 * vp * dt
-        c_inc = c_inc + (coeffs.drift_const + coeffs.drift_v * vp) * dt + coeffs.diffusion * root * dW
-        r_new = agg.rate_intercept + agg.rate_slope * np.maximum(x, 0.0)
-        int_r = int_r + 0.5 * (r_prev + r_new) * dt
-        r_prev = r_new
-        xi = np.exp(-int_r + log_mart)
-        weight = dt if k < K - 1 else 0.5 * dt
-        trap_a += weight * xi
-        trap_c += weight * xi * c_inc
-
-    a_hat = trap_a.reshape(m_outer, inner_paths).mean(axis=1)
-    c_hat = trap_c.reshape(m_outer, inner_paths).mean(axis=1)
-    return a_hat, c_hat
+    ctx = _SimContext(econ, sim, span)
+    gen, m = _philox(seed), m_outer * inner_paths
+    chunk = _Chunk(ctx, m, v0=np.repeat(v_start, inner_paths),
+                   draw=lambda k: math.sqrt(ctx.dt) * gen.standard_normal(m))
+    annuity, timed, v_sum, w_sum = _walk_rows(chunk, [_deflated_sums])[0]
+    k = optimal_consumption_coeffs(ctx.agg, econ.investors[investor])
+    consumption = k.drift_const * timed + k.drift_v * v_sum + k.diffusion * w_sum
+    return tuple(x.reshape(m_outer, inner_paths).mean(axis=1) for x in (annuity, consumption))

@@ -375,6 +375,7 @@ def validate(econ: EconomyParams) -> ValidationReport:
 
     Gating checks: state positivity (``mu_v >= sigma_v**2 / 2 > 0``), a
     positive discriminant with nonzero constant term for the exponent ODE,
+    market and full-insurance exponents that stay finite over the horizon,
     and zero net supply of initial wealth.  The sign of the ODE constant
     term, which decides whether the spot rate is bounded below, is reported
     as information only.
@@ -410,6 +411,15 @@ def validate(econ: EconomyParams) -> ValidationReport:
             f"ODE constant term = {c0:.6g} (needs != 0)",
         )
     )
+
+    from ivoleq.riccati import RiccatiExplosionError, solve_pair  # riccati imports this module
+
+    try:
+        solve_pair(agg)
+        finite, detail = True, f"both exponents finite on [0, {econ.horizon:.6g}]"
+    except (RiccatiExplosionError, ValueError) as exc:
+        finite, detail = False, str(exc)
+    checks.append(CheckResult("exponents_finite_on_horizon", finite, detail))
 
     net = fsum(i.X0 for i in econ.investors)
     scale = max(1.0, max(abs(i.X0) for i in econ.investors))

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import SimConfig, _log_exp_martingale, simulate
+from .dynamics import SimConfig, _Chunk, _log_exp_martingale, _one_chunk, _walk_rows
 from .equilibrium import QUAD_NODES_PER_PANEL, discrete_mpr, quad_nodes
 from .model import AggregateParams, EconomyParams, require_valid
 from .riccati import RiccatiSolution, market_coeffs, solve_closed_form
@@ -141,22 +141,27 @@ class TerminalClearingReport:
     dt: float
 
 
-def _terminal_paths(econ: EconomyParams, agg: AggregateParams, sol: RiccatiSolution, bundle):
+def _terminal_paths(
+    econ: EconomyParams, agg: AggregateParams, sol: RiccatiSolution, chunk: _Chunk
+):
     """Log terminal deflator and each investor's terminal insured income, per path.
 
-    Insured income carries no idiosyncratic term, so nothing here draws the
-    bundle's idiosyncratic increments.  Its terminal value, the last column
-    of ``bundle.insured_income(i)``, is affine in the shared terminal
-    integrals: ``Y0 + mu_Y T + (kappa_Y - beta_Y**2 / (2 tau)) int v dt
-    + sigma_Y int sqrt(v) dW``.
+    One walk of the chunk gives both.  The deflator is the left-point
+    exponential martingale loading the terminal price of risk on the traded
+    shock.  Insured income carries no idiosyncratic term, so nothing here
+    draws idiosyncratic increments.  Its terminal value, the last column of
+    ``PathBundle.insured_income(i)``, is affine in the shared terminal
+    integrals the walk ends with: ``Y0 + mu_Y T + (kappa_Y - beta_Y**2 / (2 tau))
+    int v dt + sigma_Y int sqrt(v) dW``.
     """
-    log_xi = _log_exp_martingale(bundle, terminal_mpr(sol, agg, bundle.times[:-1], econ.horizon))
-    int_v, int_sqrt_v_dW = bundle._terminal_integrals()
-    income_end = np.empty((econ.n_investors, bundle.n_paths))
+    coeff = terminal_mpr(sol, agg, chunk.times[:-1], econ.horizon)
+    (log_xi,) = _walk_rows(chunk, [lambda ch: _log_exp_martingale(ch, coeff)])
+    income_end = np.empty((econ.n_investors, chunk.m))
     for i, inv in enumerate(econ.investors):
         drift_v = inv.kappa_Y - 0.5 * inv.beta_Y**2 / inv.tau
         income_end[i] = (
-            inv.Y0 + inv.mu_Y * bundle.times[-1] + drift_v * int_v + inv.sigma_Y * int_sqrt_v_dW
+            inv.Y0 + inv.mu_Y * chunk.times[-1] + drift_v * chunk.int_v
+            + inv.sigma_Y * chunk.int_sqrt_v_dW
         )
     return log_xi, income_end
 
@@ -187,15 +192,16 @@ def solve_terminal_multipliers(
     The budget pins the deflator-weighted expectation of terminal wealth to
     the initial endowment, and terminal wealth is affine in the multiplier's
     log, so each multiplier solves a one-line linear equation in three Monte
-    Carlo moments.
+    Carlo moments.  A ``bundle`` from :func:`simulate` lends its increments;
+    otherwise the paths ``sim`` sets are walked afresh.
     """
     agg = require_valid(econ)
     if sim.measure != "P":
         raise ValueError("terminal multipliers are estimated on physical-measure paths")
     sol = solve_closed_form(market_coeffs(agg), econ.horizon)
-    if bundle is None:
-        bundle = simulate(econ, sim)
-    return _multipliers(econ, *_terminal_paths(econ, agg, sol, bundle))
+    chunk = _one_chunk(econ, sim) if bundle is None else _Chunk(
+        bundle._ctx, bundle.n_paths, bundle.dW)
+    return _multipliers(econ, *_terminal_paths(econ, agg, sol, chunk))
 
 
 def verify_terminal_clearing(
@@ -205,9 +211,9 @@ def verify_terminal_clearing(
 
     Builds each investor's terminal wealth from the solved multiplier, the
     shared terminal deflator and its terminal insured income, then reports the worst
-    pathwise deviation of the sum.  Everything is assembled from one shared
-    bundle so the cancellation fails only through the first-order bias of the
-    left-point sums.
+    pathwise deviation of the sum.  Everything is assembled from one walk of
+    shared paths so the cancellation fails only through the first-order bias
+    of the left-point sums.
     """
     agg = require_valid(econ)
     if sim.measure != "P":
@@ -215,10 +221,10 @@ def verify_terminal_clearing(
     if sim.scheme != "euler":
         raise ValueError("terminal clearing needs Brownian increments; use the euler scheme")
     sol = solve_closed_form(market_coeffs(agg), econ.horizon)
-    bundle = simulate(econ, sim)
-    log_xi, income_end = _terminal_paths(econ, agg, sol, bundle)
+    chunk = _one_chunk(econ, sim)
+    log_xi, income_end = _terminal_paths(econ, agg, sol, chunk)
     mult = _multipliers(econ, log_xi, income_end)
-    total = np.zeros(bundle.n_paths)
+    total = np.zeros(chunk.m)
     for i, inv in enumerate(econ.investors):
         total += mult.intercept[i] - inv.tau * log_xi - income_end[i]
     t_grid = np.linspace(0.0, econ.horizon, loading_grid)
@@ -228,6 +234,6 @@ def verify_terminal_clearing(
         mean_residual=float(total.mean()),
         loading_gap=gap,
         multipliers=mult,
-        n_paths=bundle.n_paths,
-        dt=bundle.dt,
+        n_paths=chunk.m,
+        dt=chunk.dt,
     )

@@ -27,7 +27,7 @@ BAD_FELLER = """
 }
 """
 
-# passes validate, but the slope exponent explodes at s = 1.888 < horizon
+# the slope exponent explodes at s = 1.888 < horizon: validate fails it
 EXPLODING = """
 {
   "vol": {"mu_v": 0.05, "kappa_v": 3.0, "sigma_v": 0.3, "v0": 1.0},
@@ -187,8 +187,9 @@ class TestExitCodes:
     def test_exploding_exponent_is_a_typed_exit(self, tmp_path, capsys):
         cfg = tmp_path / "exploding.json"
         cfg.write_text(EXPLODING)
-        assert main(["validate", str(cfg)]) == 0
-        capsys.readouterr()
+        assert main(["validate", str(cfg)]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] exponents_finite_on_horizon: slope exponent explodes at s = 1.888" in out
         for command in ("curves", "table1"):
             assert main([command, str(cfg)]) == 3
             err = capsys.readouterr().err

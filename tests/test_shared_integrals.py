@@ -1,16 +1,18 @@
-"""Terminal and time-integrated functionals from shared per-path integrals.
+"""Terminal and time-integrated functionals from one walk over steps.
 
-The martingale, multiplier and terminal-clearing estimators read the pricing
-density at the horizon, each investor's deflated consumption integral and
-terminal insured income as combinations of per-path integrals all investors
-share.  These tests hold them to the explicit full-path forms and check that
-the estimators never build the full per-investor paths.  The belief
-densities at the horizon are drawn conditionally on the variance path, one
-normal per investor and path; they are held to that form exactly and to the
-full-path sum in law.
+Every streaming estimator walks each chunk once and keeps (paths,) running
+sums: the shared integrals of ``v dt``, ``sqrt(v) dW`` and the spot rate,
+plus each consumer's own.  These tests hold every walked consumer to its
+explicit full-path form on the same chunk, check that the estimators never
+build full paths, and hold the terminal check's walked deflator and
+income to its full paths.  The belief densities at the horizon are drawn
+conditionally on the variance path, one normal per investor and path;
+they are held to that form exactly and to the full-path sum in law.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,22 +21,66 @@ from hypothesis import strategies as st
 
 from conftest import draw_valid_economy, heterogeneous_economy
 from ivoleq import dynamics, terminal
-from ivoleq.dynamics import SimConfig, martingale_checks, solve_multipliers
-from ivoleq.equilibrium import optimal_consumption_coeffs
+from ivoleq.dynamics import (
+    SimConfig,
+    martingale_checks,
+    mc_annuity,
+    mc_bond_price,
+    mc_risk_premium,
+    solve_multipliers,
+    verify_forward_measure,
+)
+from ivoleq.equilibrium import (
+    annuity_price,
+    bond_price,
+    discrete_mpr,
+    optimal_consumption_coeffs,
+    quad_nodes,
+)
 from ivoleq.riccati import market_coeffs, solve_closed_form
 
 RTOL, ATOL = 1e-12, 1e-14
 
 
-def _bundles(econ, sim: SimConfig):
-    """Every chunk of the physical-measure stream the estimators read."""
-    return dynamics._iter_chunks(dynamics._SimContext(econ, sim, econ.horizon))
+def _walked(plan):
+    """Each chunk of a plan's stream: its consumer's rows, the chunk and its full paths."""
+    for chunk in dynamics._iter_chunks(plan.ctx):
+        rows = dynamics._walk_rows(chunk, [plan.rows])
+        yield rows, chunk, dynamics._bundle(chunk)
+
+
+def _close(got, want):
+    np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
 
 
 def _trap_w(bundle) -> np.ndarray:
     w = np.full(bundle.n_steps + 1, bundle.dt)
     w[0] = w[-1] = 0.5 * bundle.dt
     return w
+
+
+def _trapezoid(disc, dt):
+    return 0.5 * (disc[:, :-1] + disc[:, 1:]).sum(axis=1) * dt
+
+
+def _security_values(bundle, sol, security: str, U: float):
+    """Time-U value of the bond or of the dividend-reinvested annuity, from full paths."""
+    T = bundle.econ.horizon
+    v_U = bundle.v[:, -1]
+    if security == "bond":
+        return np.exp(sol.eval_b(T - U) * v_U - sol.eval_a(T - U))
+    disc = np.exp(-bundle.int_rate())
+    accrued = _trapezoid(disc, bundle.dt) / disc[:, -1]
+    nodes, weights = quad_nodes(U, T)
+    node_prices = np.exp(np.outer(v_U, sol.eval_b(nodes - U)) - sol.eval_a(nodes - U))
+    return node_prices @ weights + accrued
+
+
+def _x0(sol, econ, security: str) -> float:
+    v0 = econ.vol.v0
+    if security == "bond":
+        return bond_price(sol, 0.0, econ.horizon, v0)
+    return annuity_price(sol, 0.0, v0, econ.horizon)
 
 
 draws = dict(
@@ -44,64 +90,113 @@ draws = dict(
 )
 
 
-def _case(seed: int, antithetic: bool, chunk_size: int):
+def _case(seed: int, antithetic: bool, chunk_size: int, **over):
     econ = draw_valid_economy(np.random.default_rng(seed), with_wealth=True)
-    sim = SimConfig(
+    base = dict(
         n_paths=40, steps_per_year=24, seed=seed, antithetic=antithetic, chunk_size=chunk_size
     )
-    return econ, sim
+    base.update(over)
+    agg = dynamics._SimContext(econ, SimConfig(n_paths=2), econ.horizon).agg
+    return econ, SimConfig(**base), agg, solve_closed_form(market_coeffs(agg), econ.horizon)
 
 
 class TestRowsMatchFullPaths:
     @given(**draws)
     @settings(max_examples=20, deadline=None)
     def test_density_rows(self, seed, antithetic, chunk_size):
-        econ, sim = _case(seed, antithetic, chunk_size)
-        rows = dynamics._martingale_plan(econ, sim).consumers[0].rows
+        econ, sim, _, _ = _case(seed, antithetic, chunk_size)
         ratios = _ratios(econ)
-        for bundle in _bundles(econ, sim):
-            got = rows(bundle)
-            want = np.exp(bundle.log_density_min()[:, -1])
-            np.testing.assert_allclose(got[0], want, rtol=RTOL, atol=ATOL)
+        for (got,), chunk, bundle in _walked(dynamics._martingale_plan(econ, sim)):
+            _close(got[0], np.exp(bundle.log_density_min()[:, -1]))
             # belief rows: exp(-r sqrt(int v dt) G - r**2 int v dt / 2), int v dt as int_v
             int_v = bundle.int_v()[:, -1]
-            g = bundle._belief_normals()
-            want = np.exp(-ratios * np.sqrt(int_v) * g - 0.5 * ratios**2 * int_v)
-            np.testing.assert_allclose(got[1:], want, rtol=RTOL, atol=ATOL)
+            g = chunk._belief_normals()
+            _close(got[1:], np.exp(-ratios * np.sqrt(int_v) * g - 0.5 * ratios**2 * int_v))
 
     @given(**draws)
     @settings(max_examples=20, deadline=None)
     def test_deflated_consumption_rows(self, seed, antithetic, chunk_size):
-        econ, sim = _case(seed, antithetic, chunk_size)
-        agg = dynamics._SimContext(econ, sim, econ.horizon).agg
-        rows = dynamics._multipliers_plan(econ, sim).consumers[0].rows
-        for bundle in _bundles(econ, sim):
-            annuity, timed, v_sum, w_sum = rows(bundle)
+        econ, sim, agg, _ = _case(seed, antithetic, chunk_size)
+        for (got,), _, bundle in _walked(dynamics._multipliers_plan(econ, sim)):
+            annuity, timed, v_sum, w_sum = got
             xi, trap_w = bundle.xi_min(), _trap_w(bundle)
-            np.testing.assert_allclose(annuity, xi @ trap_w, rtol=RTOL, atol=ATOL)
+            _close(annuity, xi @ trap_w)
             for i, inv in enumerate(econ.investors):
                 k = optimal_consumption_coeffs(agg, inv)
-                got = k.drift_const * timed + k.drift_v * v_sum + k.diffusion * w_sum
-                want = (xi * bundle.consumption_cum(i)) @ trap_w
-                np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
+                got_i = k.drift_const * timed + k.drift_v * v_sum + k.diffusion * w_sum
+                _close(got_i, (xi * bundle.consumption_cum(i)) @ trap_w)
+
+    @given(benchmark=st.booleans(), scheme=st.sampled_from(["euler", "exact"]), **draws)
+    @settings(max_examples=20, deadline=None)
+    def test_bond_and_annuity_rows(self, benchmark, scheme, seed, antithetic, chunk_size):
+        econ, sim, _, _ = _case(seed, antithetic, chunk_size, scheme=scheme)
+        U = 0.5 * econ.horizon
+        for (got,), _, bundle in _walked(dynamics._bond_plan(econ, U, sim, benchmark)):
+            _close(got, np.exp(-bundle.int_rate(benchmark)[:, -1]))
+        for (got,), _, bundle in _walked(dynamics._annuity_plan(econ, sim, benchmark)):
+            _close(got, _trapezoid(np.exp(-bundle.int_rate(benchmark)), bundle.dt))
+
+    @given(scheme=st.sampled_from(["euler", "exact"]), **draws)
+    @settings(max_examples=10, deadline=None)
+    def test_state_rows(self, scheme, seed, antithetic, chunk_size):
+        econ, sim, _, _ = _case(seed, antithetic, chunk_size, scheme=scheme)
+        plans = []
+        with mock.patch.object(dynamics, "_run", lambda *p: plans.extend(p) or [None]):
+            dynamics.mc_state_mean(econ, sim)
+        for (got,), chunk, bundle in _walked(plans[0]):
+            assert np.array_equal(got, bundle.v[:, -1])
+            # the running integrals equal the full-path columns bit for bit
+            full = [bundle.v, bundle.int_v(), bundle.int_rate()]
+            names = ["v", "int_v", "int_r"]
+            if scheme == "euler":
+                full.append(bundle.int_sqrt_v_dW())
+                names.append("int_sqrt_v_dW")
+            for k, _ in enumerate(chunk.walk()):
+                for name, cols in zip(names, full):
+                    assert np.array_equal(getattr(chunk, name), cols[:, k]), (name, k)
+
+    @given(security=st.sampled_from(["bond", "annuity"]), **draws)
+    @settings(max_examples=20, deadline=None)
+    def test_forward_rows(self, security, seed, antithetic, chunk_size):
+        econ, sim, _, sol = _case(seed, antithetic, chunk_size)
+        U = 0.5 * econ.horizon
+        x0, b_0U = _x0(sol, econ, security), bond_price(sol, 0.0, U, econ.vol.v0)
+        target = (1.0 - b_0U) / b_0U
+        for (got,), _, bundle in _walked(dynamics._forward_plan(econ, U, sim, security)):
+            _close(got, (_security_values(bundle, sol, security, U) - x0) / x0 - target)
+
+    @given(security=st.sampled_from(["bond", "annuity"]), **draws)
+    @settings(max_examples=20, deadline=None)
+    def test_premium_rows(self, security, seed, antithetic, chunk_size):
+        econ, sim, agg, sol = _case(seed, antithetic, chunk_size)
+        U = 0.5 * econ.horizon
+        x0, b_0U = _x0(sol, econ, security), bond_price(sol, 0.0, U, econ.vol.v0)
+        for (got,), _, bundle in _walked(dynamics._premium_plan(econ, U, security, sim)):
+            coeff = discrete_mpr(sol, agg, bundle.times[:-1], U)
+            vp = bundle.v[:, :-1]
+            log_m = -np.cumsum(coeff * np.sqrt(vp) * bundle.dW, axis=1)[:, -1] - 0.5 * np.cumsum(
+                coeff**2 * vp * bundle.dt, axis=1
+            )[:, -1]
+            m, x_U = np.exp(log_m), _security_values(bundle, sol, security, U)
+            _close(got[0], (x_U - x0) / x0 - (1.0 - b_0U) / b_0U)
+            _close(got[1], m * x_U / x0 - 1.0 / b_0U)
+            _close(got[2:], np.stack([m, x_U, m * x_U]))
 
     @given(**draws)
     @settings(max_examples=20, deadline=None)
     def test_terminal_rows(self, seed, antithetic, chunk_size):
-        econ, sim = _case(seed, antithetic, chunk_size)
-        agg = dynamics._SimContext(econ, sim, econ.horizon).agg
-        sol = solve_closed_form(market_coeffs(agg), econ.horizon)
-        for bundle in _bundles(econ, sim):
+        econ, sim, agg, sol = _case(seed, antithetic, chunk_size)
+        for chunk in dynamics._iter_chunks(dynamics._SimContext(econ, sim, econ.horizon)):
+            bundle = dynamics._bundle(chunk)
             coeff = terminal.terminal_mpr(sol, agg, bundle.times[:-1], econ.horizon)
-            log_xi, income_end = terminal._terminal_paths(econ, agg, sol, bundle)
+            log_xi, income_end = terminal._terminal_paths(econ, agg, sol, chunk)
             root = np.sqrt(bundle.v[:, :-1])
             want = -np.cumsum(coeff * root * bundle.dW, axis=1)[:, -1] - 0.5 * np.cumsum(
                 coeff**2 * bundle.v[:, :-1] * bundle.dt, axis=1
             )[:, -1]
-            np.testing.assert_allclose(log_xi, want, rtol=RTOL, atol=ATOL)
+            _close(log_xi, want)
             for i in range(econ.n_investors):
-                want = bundle.insured_income(i)[:, -1]
-                np.testing.assert_allclose(income_end[i], want, rtol=RTOL, atol=ATOL)
+                _close(income_end[i], bundle.insured_income(i)[:, -1])
 
 
 def _ratios(econ) -> np.ndarray:
@@ -120,16 +215,17 @@ class TestConditionalBeliefDraw:
         econ = heterogeneous_economy()
         sim = SimConfig(n_paths=8, steps_per_year=24, seed=11, antithetic=False)
         ctx = dynamics._SimContext(econ, sim, econ.horizon)
-        fixed = next(dynamics._iter_chunks(ctx))
-        rows = dynamics._martingale_plan(econ, sim).consumers[0].rows
+        fixed = dynamics._bundle(next(dynamics._iter_chunks(ctx)))
+        rows = dynamics._martingale_plan(econ, sim).rows
         ratios = _ratios(econ)
         int_v = fixed.int_v()[:, -1]
         discrete, conditional = [], []
         for z_seed, g_seed in (np.random.SeedSequence(k).spawn(2) for k in range(self.N_DRAWS)):
             # the same v and dW, fresh idiosyncratic streams
-            b = dynamics.PathBundle(ctx, fixed.v, fixed.dW, z_seed, g_seed, False)
+            b = dynamics.PathBundle(ctx, fixed.v, fixed.dW, z_seed, False)
+            chunk = dynamics._Chunk(ctx, fixed.n_paths, fixed.dW, (None, None, g_seed))
             log_full = np.stack([b.log_belief_density(i)[:, -1] for i in range(econ.n_investors)])
-            log_rows = np.log(rows(b)[1:])
+            log_rows = np.log(dynamics._walk_rows(chunk, [rows])[0][1:])
             # recover int sqrt(v) dZ_i from each log density
             discrete.append(-(log_full + 0.5 * ratios**2 * int_v) / ratios)
             conditional.append(-(log_rows + 0.5 * ratios**2 * int_v) / ratios)
@@ -184,3 +280,39 @@ def test_estimators_build_no_investor_paths(monkeypatch, check, refused):
             refuse = property(refuse)
         monkeypatch.setattr(dynamics.PathBundle, name, refuse)
     check(heterogeneous_economy(), _SIM)
+
+
+_WALKED = [
+    lambda econ: martingale_checks(econ, _SIM),
+    lambda econ: solve_multipliers(econ, _SIM),
+    lambda econ: mc_bond_price(econ, 1.0, _SIM),
+    lambda econ: mc_annuity(econ, _SIM),
+    lambda econ: verify_forward_measure(econ, 0.5, _SIM, "annuity"),
+    lambda econ: mc_risk_premium(econ, 0.5, "annuity", _SIM),
+    lambda econ: terminal.verify_terminal_clearing(econ, _SIM),
+]
+
+
+@pytest.mark.parametrize(
+    "check",
+    _WALKED,
+    ids=["martingale_checks", "solve_multipliers", "mc_bond_price", "mc_annuity",
+         "verify_forward_measure", "mc_risk_premium", "verify_terminal_clearing"],
+)
+def test_walked_estimators_build_no_full_paths(monkeypatch, check):
+    for name in ("int_rate", "xi_min", "log_density_min", "int_v", "int_sqrt_v_dW", "__init__"):
+        monkeypatch.setattr(dynamics.PathBundle, name, _refuse(name))
+    check(heterogeneous_economy())
+
+
+@pytest.mark.parametrize(
+    "check",
+    [martingale_checks, solve_multipliers, terminal.solve_terminal_multipliers,
+     lambda econ, sim: mc_risk_premium(econ, 0.5, "annuity", sim)],
+    ids=["martingale_checks", "solve_multipliers", "solve_terminal_multipliers",
+         "mc_risk_premium"],
+)
+def test_walked_functionals_of_increments_refuse_the_exact_scheme(check):
+    sim = SimConfig(n_paths=16, steps_per_year=12, seed=5, scheme="exact")
+    with pytest.raises(ValueError, match="exact scheme does not produce"):
+        check(heterogeneous_economy(), sim)

@@ -108,14 +108,30 @@ class TestSharedChunkLoop:
         made = []
 
         def spy(ctx, seed, m):
-            assert all(ref() is None for ref in made), "a previous chunk's bundle is alive"
-            bundle = simulate_chunk(ctx, seed, m)
-            made.append(weakref.ref(bundle))
-            return bundle
+            assert all(ref() is None for ref in made), "a previous chunk is alive"
+            chunk = simulate_chunk(ctx, seed, m)
+            made.extend([weakref.ref(chunk), weakref.ref(chunk.dW)])
+            return chunk
 
         monkeypatch.setattr(dynamics, "_simulate_chunk", spy)
         martingale_checks(heterogeneous_economy(), _sim(chunk_size=16))
-        assert len(made) == 4
+        assert len(made) == 2 * 4
+
+
+class TestIncrementDraw:
+    @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
+    def test_in_place_draw_equals_scaled_copy(self, antithetic):
+        sim = _sim(n_paths=32, antithetic=antithetic)
+        ctx = dynamics._SimContext(reference_economy(2), sim, 1.0)
+        got = dynamics._simulate_chunk(ctx, np.random.SeedSequence(9), 32).dW
+        w_seed = np.random.SeedSequence(9).spawn(3)[0]
+        gen = np.random.Generator(np.random.Philox(w_seed))
+        if antithetic:
+            base = gen.standard_normal((16, ctx.n_steps))
+            want = np.sqrt(ctx.dt) * np.concatenate([base, -base], axis=0)
+        else:
+            want = np.sqrt(ctx.dt) * gen.standard_normal((32, ctx.n_steps))
+        assert np.array_equal(got, want)
 
 
 def _peak_bytes(fn) -> int:
@@ -142,3 +158,15 @@ def test_martingale_check_draws_no_increment_block():
     sim = SimConfig(n_paths=256, seed=3, antithetic=False)
     full_dz = econ.n_investors * sim.n_paths * sim.n_steps(econ.horizon) * 8
     assert _peak_bytes(lambda: martingale_checks(econ, sim)) < full_dz / 20
+
+
+def test_walk_holds_one_increment_block():
+    # martingale and multipliers share one walk of one 8192 x 252 chunk: besides
+    # the chunk's dW block only (paths,) vectors and (investors, paths) rows live
+    econ = reference_economy(2)
+    sim = SimConfig(n_paths=8192, seed=3, antithetic=False)
+    block = sim.n_paths * sim.n_steps(econ.horizon) * 8
+    peak = _peak_bytes(lambda: dynamics._run(
+        dynamics._martingale_plan(econ, sim), dynamics._multipliers_plan(econ, sim)
+    ))
+    assert peak < 1.5 * block
