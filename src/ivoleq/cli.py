@@ -373,14 +373,11 @@ def _verify_suite(econ: EconomyParams, suite: str, seed: int, n_paths: int) -> l
     )
     if want("bond"):
         done["bond_exact"] = _timed(dyn.mc_bond_price, econ, horizon, sim(scheme="exact"))
-    pathwise = [name for name in ("clearing", "foc") if want(name)]
-    if pathwise:
-        t0 = time.perf_counter()
-        bundle = dyn.simulate(econ, sim(n_paths=min(n_paths, 2000)))
-        reports = {"clearing": dyn._clearing_report, "foc": dyn._foc_report}
-        reps = [reports[name](bundle) for name in pathwise]
-        share = (time.perf_counter() - t0) / len(reps)
-        done.update((name, (rep, share)) for name, rep in zip(pathwise, reps))
+    pathwise = sim(n_paths=min(n_paths, 2000))
+    stream(
+        ("clearing", partial(dyn._clearing_plan, econ, pathwise), 1, want("clearing")),
+        ("foc", partial(dyn._foc_plan, econ, pathwise), 1, want("foc")),
+    )
     stream(*(
         (f"forward_{sec}", partial(dyn._forward_plan, econ, half, full, sec), 1, want("forward"))
         for sec in ("bond", "annuity")

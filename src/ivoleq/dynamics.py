@@ -34,16 +34,16 @@ stream spawned from the run seed, so estimates do not depend on how the
 chunks are scheduled and any chunk can be regenerated in isolation.  Every
 random block is drawn once, and only when a functional reads it.
 
-Estimators walk each chunk once (``_Chunk.walk``): the state advances a
-step at a time, and the integrals they share, ``int v dt``,
-``int sqrt(v) dW`` and the trapezoid ``int r dt``, run as one value per
-path.  ``_run``, the one chunk loop, feeds each estimator's consumer an
-update at every grid point and takes its per-path rows at the horizon, so
-no estimator holds a (paths, steps + 1) array and plans on one stream
-share one walk; the terminal-wealth check walks its paths too.  Only
-:func:`simulate` stores full paths, in a ``PathBundle``, for the pathwise
-clearing, first-order-condition and budget checks; it draws the
-idiosyncratic increments one investor block at a time into one buffer.
+Estimators and the pathwise checks walk each chunk once (``_Chunk.walk``):
+the state advances a step at a time, and the integrals they share,
+``int v dt``, ``int sqrt(v) dW`` and the trapezoid ``int r dt``, run as one
+value per path.  ``_run``, the one chunk loop, feeds each consumer an update
+at every grid point and takes its per-path rows at the horizon (means for
+estimators, maxima for the clearing and first-order-condition residuals),
+so none holds a (paths, steps + 1) array and plans on one stream share one
+walk; the first-order-condition consumer draws its investor's ``dZ`` block
+once per chunk.  Only :func:`simulate` stores full paths, in a
+``PathBundle``, for the budget check.
 
 Per-investor functionals are affine in ``t``, ``int v dt`` and
 ``int sqrt(v) dW``, which all investors share, plus ``int sqrt(v) dZ_i``
@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -219,17 +220,16 @@ class _SimContext:
 class PathBundle:
     """Full jointly simulated paths plus lazily derived processes.
 
-    Only :func:`simulate` builds one; the estimators walk their chunks and
-    never hold full paths.  ``v`` has shape (paths, steps + 1); increment
-    arrays have shape (paths, steps).  ``dW`` holds increments of the
-    Brownian motion of the simulation measure and is ``None`` under the
-    exact scheme.  The idiosyncratic increments ``dZ`` come from a dedicated
-    stream, drawn one investor block at a time and in investor order, so the
-    per-investor functionals hold one block instead of all investors' and a
-    bundle no functional asks for them never draws them.  The ``dZ``
-    property draws the whole (investors, paths, steps) block from the same
-    stream; its slices equal the streamed blocks bit for bit.  Only the full
-    paths of ``income_paths`` and ``log_belief_density`` read ``dZ``.
+    Only :func:`simulate` builds one, for the budget check; every other check
+    walks its chunks and never holds full paths.  ``v`` has shape
+    (paths, steps + 1); increment arrays have shape (paths, steps).  ``dW``
+    holds increments of the Brownian motion of the simulation measure and is
+    ``None`` under the exact scheme.  The idiosyncratic increments ``dZ``
+    come from a dedicated stream, drawn one investor block at a time and in
+    investor order, so a per-investor functional holds one block instead of
+    all investors'.  The ``dZ`` property draws the whole (investors, paths,
+    steps) block from the same stream; its slices equal the streamed blocks
+    bit for bit.  Only ``income_paths`` and ``log_belief_density`` read ``dZ``.
     """
 
     def __init__(self, ctx: _SimContext, v, dW, z_seed, antithetic_pairs: bool):
@@ -285,25 +285,25 @@ class PathBundle:
 
     # -- running integrals (cumulative, shape (paths, steps + 1)) -------
 
-    def int_v(self) -> NDArray[np.float64]:
-        """Left-endpoint cumulative integral of v dt."""
-        out = np.zeros_like(self.v)
-        np.cumsum(self.v[:, :-1] * self.dt, axis=1, out=out[:, 1:])
+    def _path(self, increments, start: float = 0.0) -> NDArray[np.float64]:
+        """Path from ``start`` at t_0 by the running sum of per-step increments."""
+        out = np.full_like(self.v, start)
+        np.cumsum(increments, axis=1, out=out[:, 1:])
+        out[:, 1:] += start
         return out
 
+    def int_v(self) -> NDArray[np.float64]:
+        """Left-endpoint cumulative integral of v dt."""
+        return self._path(self.v[:, :-1] * self.dt)
+
     def int_sqrt_v_dW(self) -> NDArray[np.float64]:
-        dW = _need_dw(self.dW)
-        out = np.zeros_like(self.v)
-        np.cumsum(np.sqrt(self.v[:, :-1]) * dW, axis=1, out=out[:, 1:])
-        return out
+        return self._path(np.sqrt(self.v[:, :-1]) * _need_dw(self.dW))
 
     def int_rate(self, benchmark: bool = False) -> NDArray[np.float64]:
         """Trapezoid cumulative integral of the affine spot rate."""
         slope = self.agg.rate_slope_rep if benchmark else self.agg.rate_slope
         r = self.agg.rate_intercept + slope * self.v
-        out = np.zeros_like(self.v)
-        np.cumsum(0.5 * (r[:, :-1] + r[:, 1:]) * self.dt, axis=1, out=out[:, 1:])
-        return out
+        return self._path(0.5 * (r[:, :-1] + r[:, 1:]) * self.dt)
 
     # -- densities ------------------------------------------------------
 
@@ -324,31 +324,20 @@ class PathBundle:
             raise ValueError("belief densities are defined on P paths")
         inv = self.econ.investors[i]
         ratio = inv.beta_Y / inv.tau
-        dZ = self._dz_block(i)
-        cum = np.zeros_like(self.v)
-        np.cumsum(np.sqrt(self.v[:, :-1]) * dZ, axis=1, out=cum[:, 1:])
+        cum = self._path(np.sqrt(self.v[:, :-1]) * self._dz_block(i))
         return -ratio * cum - 0.5 * ratio**2 * self.int_v()
 
     # -- income and consumption ----------------------------------------
 
-    def insured_income(self, i: int) -> NDArray[np.float64]:
-        """Euler path of investor i's insured income.
-
-        The insured path drops the idiosyncratic diffusion and compensates
-        the drift by half the squared loading per unit tolerance, so it
-        needs no idiosyncratic increments.
-        """
-        inv = self.econ.investors[i]
-        dW = _need_dw(self.dW)
+    def _steps(self):
+        """The clipped left state of every step, its square root and the increments."""
         vp = self.v[:, :-1]
-        comp = 0.5 * inv.beta_Y**2 / inv.tau
-        dY_ins = (inv.mu_Y + (inv.kappa_Y - comp) * vp) * self.dt + np.sqrt(vp) * (
-            inv.sigma_Y * dW
-        )
-        Y_ins = np.full_like(self.v, inv.Y0)
-        np.cumsum(dY_ins, axis=1, out=Y_ins[:, 1:])
-        Y_ins[:, 1:] += inv.Y0
-        return Y_ins
+        return vp, np.sqrt(vp), _need_dw(self.dW), self.dt
+
+    def insured_income(self, i: int) -> NDArray[np.float64]:
+        """Euler path of investor i's insured income (see :func:`_income_step`)."""
+        inv = self.econ.investors[i]
+        return self._path(_income_step(inv, *self._steps()), inv.Y0)
 
     def income_paths(self, i: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
         """Euler paths of investor i's income and its insured counterpart.
@@ -357,27 +346,28 @@ class PathBundle:
         :meth:`insured_income`.
         """
         inv = self.econ.investors[i]
-        Y_ins = self.insured_income(i)
-        vp = self.v[:, :-1]
-        dY = (inv.mu_Y + inv.kappa_Y * vp) * self.dt + np.sqrt(vp) * (
-            inv.sigma_Y * self.dW + inv.beta_Y * self._dz_block(i)
-        )
-        Y = np.full_like(self.v, inv.Y0)
-        np.cumsum(dY, axis=1, out=Y[:, 1:])
-        Y[:, 1:] += inv.Y0
-        return Y, Y_ins
+        Y = self._path(_income_step(inv, *self._steps(), self._dz_block(i)), inv.Y0)
+        return Y, self.insured_income(i)
 
     def consumption_cum(self, i: int) -> NDArray[np.float64]:
         """Cumulative optimal-consumption increments (zero initial level)."""
         coeffs = optimal_consumption_coeffs(self.agg, self.econ.investors[i])
-        dW = _need_dw(self.dW)
-        vp = self.v[:, :-1]
-        dc = (coeffs.drift_const + coeffs.drift_v * vp) * self.dt + (
-            coeffs.diffusion * np.sqrt(vp) * dW
-        )
-        out = np.zeros_like(self.v)
-        np.cumsum(dc, axis=1, out=out[:, 1:])
-        return out
+        return self._path(_consumption_step(coeffs, *self._steps()))
+
+
+def _consumption_step(k, vp, root, dw, dt):
+    """Elementwise optimal-consumption increments for ``ConsumptionCoeffs`` ``k``."""
+    return (k.drift_const + k.drift_v * vp) * dt + k.diffusion * root * dw
+
+
+def _income_step(inv, vp, root, dw, dt, dz=None):
+    """Elementwise income increments of investor ``inv``: raw with idiosyncratic
+    increments ``dz``, else insured, which drops the idiosyncratic diffusion
+    and compensates the drift by half the squared loading per unit tolerance."""
+    if dz is None:
+        comp = 0.5 * inv.beta_Y**2 / inv.tau
+        return (inv.mu_Y + (inv.kappa_Y - comp) * vp) * dt + root * (inv.sigma_Y * dw)
+    return (inv.mu_Y + inv.kappa_Y * vp) * dt + root * (inv.sigma_Y * dw + inv.beta_Y * dz)
 
 
 def _philox(seed) -> np.random.Generator:
@@ -437,6 +427,11 @@ class _Chunk:
         self.antithetic_pairs = antithetic_pairs
         self._w_seed, self.z_seed, self._g_seed = seeds
         self._v0 = np.full(m, ctx.econ.vol.v0) if v0 is None else v0
+
+    def log_xi(self) -> NDArray[np.float64]:
+        """Log of the state-price density ``xi_min`` at the current grid point."""
+        mpr = self.ctx.agg.mpr_loading
+        return -self.int_r + (-mpr * self.int_sqrt_v_dW - 0.5 * mpr**2 * self.int_v)
 
     def _belief_normals(self) -> NDArray[np.float64]:
         """One standard normal per investor and path, the same on every call;
@@ -540,8 +535,8 @@ def simulate(
     """Simulate one bundle of full paths over ``[0, horizon]``.
 
     Materializes everything in a single chunk, so it is meant for the
-    pathwise identity checks at moderate path counts; the estimator
-    functions below walk chunks instead and never hold full paths.
+    budget check at moderate path counts; every other check below walks
+    chunks instead and never holds full paths.
     """
     return _bundle(_one_chunk(econ, sim, horizon))
 
@@ -598,19 +593,29 @@ class _Moments:
         return McEstimate(float(self.mean[j]), float(se[j]), sim.n_paths, sim.measure)
 
 
+class _Max:
+    """Running maximum over the last axis of each sample, across chunks."""
+
+    value = -np.inf
+
+    def add(self, vals, paired: bool = False) -> None:
+        self.value = np.maximum(self.value, np.max(vals, axis=-1))
+
+
 @dataclass
 class _Plan:
     """An estimator as a path stream, a consumer and a finishing step.
 
     ``rows`` is a consumer of the chunk walk (see :func:`_walk_rows`) whose
     rows hold one value per path, or stacked rows of them; ``finish`` maps
-    their moments, with antithetic mirrors folded into pair means, to the
-    estimator's result.
+    their accumulator ``acc`` (moments, with antithetic mirrors folded into
+    pair means, or maxima) to the estimator's result.
     """
 
     ctx: _SimContext
     rows: Callable[[_Chunk], Iterator]
-    finish: Callable[[_Moments], Any]
+    finish: Callable[[Any], Any]
+    acc: Callable[[], Any] = _Moments
 
 
 def _run(*plans: _Plan) -> list:
@@ -623,7 +628,7 @@ def _run(*plans: _Plan) -> list:
     key = (ctx.econ, ctx.sim, ctx.horizon, ctx.rate_slope)
     if any((p.ctx.econ, p.ctx.sim, p.ctx.horizon, p.ctx.rate_slope) != key for p in plans[1:]):
         raise ValueError("plans on different path streams cannot share a chunk loop")
-    accs = [_Moments() for _ in plans]
+    accs = [p.acc() for p in plans]
     for chunk in _iter_chunks(ctx):
         for acc, rows in zip(accs, _walk_rows(chunk, [p.rows for p in plans])):
             acc.add(rows, chunk.antithetic_pairs)
@@ -858,20 +863,30 @@ def verify_clearing(econ: EconomyParams, sim: SimConfig) -> ClearingReport:
     Every investor's consumption path is driven by the same state and
     Brownian increments, and the increment coefficients sum to zero across
     investors, so the aggregate is constant up to floating-point roundoff
-    on every path and date.
+    on every path and date.  Each chunk is walked with a running sum per
+    investor and path; the report is the largest residual of all chunks.
     """
-    return _clearing_report(simulate(econ, _require_measure(sim, "P")))
+    return _run(_clearing_plan(econ, sim))[0]
 
 
-def _clearing_report(bundle: PathBundle) -> ClearingReport:
-    total = bundle.consumption_cum(0)
-    for i in range(1, bundle.econ.n_investors):
-        total += bundle.consumption_cum(i)
-    return ClearingReport(
-        max_residual=float(np.abs(total).max()),
-        n_paths=bundle.n_paths,
-        n_steps=bundle.n_steps,
-    )
+def _clearing_rows(chunk: _Chunk):
+    """Consumer: per path, the largest |summed consumption increments to t_k|; each
+    investor's increments run in a sum of their own, added in investor order."""
+    _need_dw(chunk.draw)
+    coeffs = [optimal_consumption_coeffs(chunk.ctx.agg, inv) for inv in chunk.ctx.econ.investors]
+    cum, peak = np.zeros((len(coeffs), chunk.m)), np.zeros(chunk.m)
+    for _ in range(chunk.n_steps):
+        yield
+        for row, k in zip(cum, coeffs):
+            row += _consumption_step(k, chunk.vp, chunk.root, chunk.dw, chunk.dt)
+        np.maximum(peak, np.abs(reduce(np.add, cum)), out=peak)
+    yield peak
+
+
+def _clearing_plan(econ: EconomyParams, sim: SimConfig) -> _Plan:
+    ctx = _SimContext(econ, _require_measure(sim, "P"), econ.horizon)
+    return _Plan(ctx, _clearing_rows,
+                 lambda acc: ClearingReport(float(acc.value), sim.n_paths, ctx.n_steps), _Max)
 
 
 @dataclass(frozen=True)
@@ -907,11 +922,10 @@ def _deflated_sums(chunk: _Chunk):
     """Consumer: the deflated annuity and the three sums every investor's
     deflated consumption combines (summation by parts, module docstring)."""
     _need_dw(chunk.draw)
-    mpr = chunk.ctx.agg.mpr_loading
     sums = np.zeros((4, chunk.m))
     for k in range(chunk.n_steps + 1):
-        # the state-price density xi_min at t_k, times its trapezoid weight
-        xi = np.exp(-chunk.int_r + (-mpr * chunk.int_sqrt_v_dW - 0.5 * mpr**2 * chunk.int_v))
+        # the state-price density at t_k, times its trapezoid weight
+        xi = np.exp(chunk.log_xi())
         xi *= chunk.dt if 0 < k < chunk.n_steps else 0.5 * chunk.dt
         sums[0] += xi
         sums[1] += xi * chunk.times[k]
@@ -965,28 +979,62 @@ class FocReport:
     dt: float
 
 
-def _foc_terms(bundle: PathBundle, i: int, c0: float):
-    """Consumption path, log multiplier and log state price of investor i."""
-    inv = bundle.econ.investors[i]
-    c_path = c0 + bundle.consumption_cum(i)
+def _investor(econ: EconomyParams, investor: int) -> int:
+    """``investor`` as an index into ``econ.investors``; negative ones count from the end."""
+    if not -econ.n_investors <= investor < econ.n_investors:
+        raise ValueError(f"investor {investor} is out of range for {econ.n_investors} investors")
+    return investor % econ.n_investors
+
+
+def _foc_rows(chunk: _Chunk, i: int, c0: float, raw: bool = True):
+    """Consumer: investor i's first-order-condition residuals along the walk.
+
+    Consumption, both incomes and ``int sqrt(v) dZ_i`` run as sums per path,
+    the last from investor i's ``dZ`` block, drawn once per chunk.  With
+    ``raw``, yields per path the largest |r_ins|, |r_raw| and |r_ins - r_raw|
+    over t_0, ..., t_K; without, |r_ins| at t_K alone and no ``dZ``.
+    """
+    _need_dw(chunk.draw)
+    inv, agg, dt = chunk.ctx.econ.investors[i], chunk.ctx.agg, chunk.dt
+    coeffs, ratio = optimal_consumption_coeffs(agg, inv), inv.beta_Y / inv.tau
     log_alpha = -(c0 + inv.Y0) / inv.tau - math.log(inv.tau)
-    log_xi = -bundle.int_rate() + bundle.log_density_min()
-    return c_path, log_alpha, log_xi
+    if raw:
+        gen, dz = _philox(chunk.z_seed), np.empty((chunk.m, chunk.n_steps))
+        for _ in range(i + 1):  # the stream holds the investors' blocks in order
+            _draw_increments(gen, dz, dt)
+    c_cum, y_ins, y_raw, z_cum = (np.zeros(chunk.m) for _ in range(4))
+    peak = np.zeros((3, chunk.m))
+
+    def residual(c_path, income, log_xi, log_belief=0.0):
+        # one route: log marginal utility, -log tau - (c + income) / tau, against its log price
+        return -math.log(inv.tau) - (c_path + income) / inv.tau - (log_alpha + log_belief + log_xi)
+
+    for k in range(chunk.n_steps + 1):
+        if k:
+            step = (chunk.vp, chunk.root, chunk.dw, dt)
+            c_cum += _consumption_step(coeffs, *step)
+            y_ins += _income_step(inv, *step)
+            if raw:
+                dz_k = np.ascontiguousarray(dz[:, k - 1])
+                y_raw += _income_step(inv, *step, dz_k)
+                z_cum += chunk.root * dz_k
+        if raw or k == chunk.n_steps:
+            c_path, log_xi = c0 + c_cum, chunk.log_xi()
+            r_ins = residual(c_path, y_ins + inv.Y0, log_xi)
+        if raw:
+            log_belief = -ratio * z_cum - 0.5 * ratio**2 * chunk.int_v
+            r_raw = residual(c_path, y_raw + inv.Y0, log_xi, log_belief)
+            np.maximum(peak, np.abs([r_ins, r_raw, r_ins - r_raw]), out=peak)
+        if k < chunk.n_steps:
+            yield
+    yield peak if raw else np.abs(r_ins)
 
 
-def _foc_residual(tau: float, terms, income, log_belief=0.0):
-    """One route's residual: log marginal utility against its log price."""
-    c_path, log_alpha, log_xi = terms
-    # marginal utility in logs: -log tau - (c + income) / tau
-    return -math.log(tau) - (c_path + income) / tau - (log_alpha + log_belief + log_xi)
-
-
-def _foc_residuals(bundle: PathBundle, i: int, c0: float):
-    tau = bundle.econ.investors[i].tau
-    Y, Y_ins = bundle.income_paths(i)
-    terms = _foc_terms(bundle, i, c0)
-    r_ins = _foc_residual(tau, terms, Y_ins)
-    return r_ins, _foc_residual(tau, terms, Y, bundle.log_belief_density(i))
+def _foc_plan(econ: EconomyParams, sim: SimConfig, investor: int = 0, c0=None) -> _Plan:
+    i = _investor(econ, investor)
+    ctx = _SimContext(econ, _require_measure(sim, "P"), econ.horizon)
+    return _Plan(ctx, lambda ch: _foc_rows(ch, i, 0.0 if c0 is None else c0),
+                 lambda acc: FocReport(i, *map(float, acc.value), sim.n_paths, ctx.dt), _Max)
 
 
 def verify_foc(
@@ -1000,21 +1048,10 @@ def verify_foc(
     The initial consumption level cancels between the consumption path and
     the multiplier, so any value gives the same residual; pass one to pin
     the paths to a solved budget.  Residuals shrink linearly in the step
-    size (see the module docstring for the exact telescoped form).
+    size (see the module docstring for the exact telescoped form).  Chunks
+    are walked with running sums; the report's ``investor`` is nonnegative.
     """
-    return _foc_report(simulate(econ, _require_measure(sim, "P")), investor, c0)
-
-
-def _foc_report(bundle: PathBundle, investor: int = 0, c0: float | None = None) -> FocReport:
-    r_ins, r_raw = _foc_residuals(bundle, investor, 0.0 if c0 is None else c0)
-    return FocReport(
-        investor=investor,
-        max_insured=float(np.abs(r_ins).max()),
-        max_raw=float(np.abs(r_raw).max()),
-        route_split=float(np.abs(r_ins - r_raw).max()),
-        n_paths=bundle.n_paths,
-        dt=bundle.dt,
-    )
+    return _run(_foc_plan(econ, sim, investor, c0))[0]
 
 
 def _coarse(ctx: _SimContext, dW, factor: int) -> _Chunk:
@@ -1052,23 +1089,28 @@ def foc_order(
     the residual ratio is nearly deterministic.  The insured route carries
     no idiosyncratic term, so no level draws ``dZ``.
     """
-    fine_sim = replace(sim, steps_per_year=sim.steps_per_year * 2**doublings, measure="P")
-    _require_nested_grid(fine_sim.n_steps(econ.horizon), doublings)
-    fine = simulate(econ, fine_sim)
-    tau = econ.investors[investor].tau
-    levels = []
-    residuals = []
-    for level in range(doublings + 1):
-        factor = 2 ** (doublings - level)
-        steps = sim.steps_per_year * 2**level
-        ctx = _SimContext(econ, replace(sim, steps_per_year=steps, measure="P"), econ.horizon)
-        bundle = fine if factor == 1 else _bundle(_coarse(ctx, fine.dW, factor))
-        terms = _foc_terms(bundle, investor, 0.0)
-        r_ins = _foc_residual(tau, terms, bundle.insured_income(investor))
-        levels.append(steps)
-        residuals.append(float(np.abs(r_ins[:, -1]).mean()))
+    i = _investor(econ, investor)
+    residuals = _level_means(econ, replace(sim, measure="P"), econ.horizon, doublings,
+                             lambda ch: _foc_rows(ch, i, 0.0, raw=False))
+    levels = [sim.steps_per_year * 2**level for level in range(doublings + 1)]
     fit = np.polyfit(np.log2(levels), np.log2(residuals), 1)
-    return FocOrderReport(tuple(levels), tuple(residuals), float(-fit[0]))
+    return FocOrderReport(tuple(levels), tuple(map(float, residuals)), float(-fit[0]))
+
+
+def _level_means(econ, sim: SimConfig, horizon: float, doublings: int, rows) -> NDArray[np.float64]:
+    """Mean of a consumer's per-path rows on ``sim``'s grid and each of ``doublings``
+    finer ones; each chunk of the finest is walked on every level, from summed increments."""
+    ctxs = [_SimContext(econ, replace(sim, steps_per_year=sim.steps_per_year * 2**level), horizon)
+            for level in range(doublings + 1)]
+    _require_nested_grid(ctxs[-1].n_steps, doublings)
+    sums, n = np.zeros(len(ctxs)), 0
+    for chunk in _iter_chunks(ctxs[-1]):
+        for level, ctx in enumerate(ctxs):
+            factor = 2 ** (doublings - level)
+            lv = chunk if factor == 1 else _coarse(ctx, chunk.dW, factor)
+            sums[level] += float(_walk_rows(lv, [rows])[0].sum())
+        n += chunk.m
+    return sums / n
 
 
 # ---------------------------------------------------------------------------
@@ -1144,21 +1186,7 @@ def weak_convergence_study(
     sol = solve_closed_form(market_coeffs(agg), max(U, 1e-9))
     exact = bond_price(sol, 0.0, U, agg.vol.v0)
     base = replace(sim, measure="Qmin", scheme="euler")
-    ctxs = [
-        _SimContext(econ, replace(base, steps_per_year=sim.steps_per_year * 2**level), U)
-        for level in range(doublings + 1)
-    ]
-    _require_nested_grid(ctxs[-1].n_steps, doublings)
-
-    sums = np.zeros(doublings + 1)
-    n = 0
-    for chunk in _iter_chunks(ctxs[-1]):
-        for level, ctx in enumerate(ctxs):
-            factor = 2 ** (doublings - level)
-            lv = chunk if factor == 1 else _coarse(ctx, chunk.dW, factor)
-            sums[level] += float(_walk_rows(lv, [_discount])[0].sum())
-        n += chunk.m
-    means = sums / n
+    means = _level_means(econ, base, U, doublings, _discount)
     diffs = np.abs(np.diff(means))
     fit = np.polyfit(
         np.arange(diffs.size), np.log2(np.maximum(diffs, 1e-300)), 1
@@ -1202,6 +1230,7 @@ def verify_budget_martingale(
     wealth when ``c0`` comes from :func:`solve_multipliers`.  Quadratic
     cost in paths; defaults are sized for a smoke test, not for precision.
     """
+    investor = _investor(econ, investor)
     if c0 is None:
         c0 = float(solve_multipliers(econ, replace(sim, n_paths=4096)).c0[investor])
     base = _require_measure(sim, "P")

@@ -1,17 +1,20 @@
-"""Terminal and time-integrated functionals from one walk over steps.
+"""Terminal, time-integrated and pathwise functionals from one walk over steps.
 
-Every streaming estimator walks each chunk once and keeps (paths,) running
-sums: the shared integrals of ``v dt``, ``sqrt(v) dW`` and the spot rate,
-plus each consumer's own.  These tests hold every walked consumer to its
-explicit full-path form on the same chunk, check that the estimators never
-build full paths, and hold the terminal check's walked deflator and
-income to its full paths.  The belief densities at the horizon are drawn
+Every streaming estimator and pathwise check walks each chunk once and keeps
+(paths,) running sums: the shared integrals of ``v dt``, ``sqrt(v) dW`` and
+the spot rate, plus each consumer's own.  These tests hold every walked
+consumer to its explicit full-path form on the same chunk, check that the
+estimators and the clearing and first-order-condition checks never build
+full paths, and hold the terminal check's walked deflator and income to its
+full paths.  The belief densities at the horizon are drawn
 conditionally on the variance path, one normal per investor and path;
 they are held to that form exactly and to the full-path sum in law.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
@@ -23,11 +26,14 @@ from conftest import draw_valid_economy, heterogeneous_economy
 from ivoleq import dynamics, terminal
 from ivoleq.dynamics import (
     SimConfig,
+    foc_order,
     martingale_checks,
     mc_annuity,
     mc_bond_price,
     mc_risk_premium,
     solve_multipliers,
+    verify_clearing,
+    verify_foc,
     verify_forward_measure,
 )
 from ivoleq.equilibrium import (
@@ -37,6 +43,7 @@ from ivoleq.equilibrium import (
     optimal_consumption_coeffs,
     quad_nodes,
 )
+from ivoleq.model import validate
 from ivoleq.riccati import market_coeffs, solve_closed_form
 
 RTOL, ATOL = 1e-12, 1e-14
@@ -199,6 +206,117 @@ class TestRowsMatchFullPaths:
                 _close(income_end[i], bundle.insured_income(i)[:, -1])
 
 
+def _full_clearing(bundle) -> np.ndarray:
+    """Per path, the largest |summed cumulative consumption| of the full paths."""
+    total = bundle.consumption_cum(0)
+    for i in range(1, bundle.econ.n_investors):
+        total += bundle.consumption_cum(i)
+    return np.abs(total).max(axis=1)
+
+
+def _full_foc(bundle, i: int, c0: float, raw: bool = True):
+    """Investor i's insured residual paths, and raw ones with ``raw``, from full paths."""
+    inv = bundle.econ.investors[i]
+    c_path = c0 + bundle.consumption_cum(i)
+    log_alpha = -(c0 + inv.Y0) / inv.tau - math.log(inv.tau)
+    log_xi = -bundle.int_rate() + bundle.log_density_min()
+
+    def residual(income, log_belief=0.0):
+        return -math.log(inv.tau) - (c_path + income) / inv.tau - (log_alpha + log_belief + log_xi)
+
+    r_ins = residual(bundle.insured_income(i))
+    if not raw:
+        return r_ins
+    return r_ins, residual(bundle.income_paths(i)[0], bundle.log_belief_density(i))
+
+
+def _foc_maxima(r_ins, r_raw) -> np.ndarray:
+    return np.abs([r_ins, r_raw, r_ins - r_raw]).max(axis=-1)
+
+
+pathwise = dict(
+    n_investors=st.sampled_from([1, 4]),
+    last=st.booleans(),
+    zero_beta=st.booleans(),
+    c0=st.sampled_from([None, 0.3]),
+    **draws,
+)
+
+
+def _pathwise_case(seed, antithetic, chunk_size, n_investors, zero_beta):
+    """A valid economy of ``n_investors`` and 40 paths, more than one chunk holds."""
+    rng = np.random.default_rng(seed)
+    while True:
+        econ = draw_valid_economy(rng, with_wealth=True)
+        if zero_beta:
+            econ = dataclasses.replace(econ, investors=tuple(
+                dataclasses.replace(inv, beta_Y=0.0) for inv in econ.investors))
+        if econ.n_investors == n_investors and validate(econ).passed:
+            break
+    sim = SimConfig(
+        n_paths=40, steps_per_year=24, seed=seed, antithetic=antithetic, chunk_size=chunk_size
+    )
+    return econ, sim
+
+
+class TestPathwiseReports:
+    """The walked clearing and first-order-condition checks against full paths."""
+
+    @given(**pathwise)
+    @settings(max_examples=20, deadline=None)
+    def test_rows_equal_full_paths(self, seed, antithetic, chunk_size, n_investors, last,
+                                   zero_beta, c0):
+        econ, sim = _pathwise_case(seed, antithetic, chunk_size, n_investors, zero_beta)
+        i = n_investors - 1 if last else 0
+        for (got,), _, bundle in _walked(dynamics._clearing_plan(econ, sim)):
+            assert np.array_equal(got, _full_clearing(bundle))
+        for (got,), chunk, bundle in _walked(dynamics._foc_plan(econ, sim, i, c0)):
+            r_ins, r_raw = _full_foc(bundle, i, 0.0 if c0 is None else c0)
+            assert np.array_equal(got, _foc_maxima(r_ins, r_raw))
+            (end,) = dynamics._walk_rows(chunk, [lambda ch: dynamics._foc_rows(ch, i, 0.0, False)])
+            assert np.array_equal(end, np.abs(_full_foc(bundle, i, 0.0, raw=False)[:, -1]))
+
+    @given(**pathwise)
+    @settings(max_examples=20, deadline=None)
+    def test_reports_are_the_largest_over_chunks(self, seed, antithetic, chunk_size,
+                                                 n_investors, last, zero_beta, c0):
+        econ, sim = _pathwise_case(seed, antithetic, chunk_size, n_investors, zero_beta)
+        ctx = dynamics._SimContext(econ, sim, econ.horizon)
+        bundles = [dynamics._bundle(chunk) for chunk in dynamics._iter_chunks(ctx)]
+        assert len(bundles) > 1
+        rep = verify_clearing(econ, sim)
+        assert rep.max_residual == max(_full_clearing(b).max() for b in bundles)
+        assert (rep.n_paths, rep.n_steps) == (40, 24)
+        i = n_investors - 1 if last else 0
+        foc = verify_foc(econ, sim, investor=-1 if last else 0, c0=c0)
+        want = np.max([_foc_maxima(*_full_foc(b, i, 0.0 if c0 is None else c0)).max(axis=-1)
+                       for b in bundles], axis=0)
+        assert (foc.max_insured, foc.max_raw, foc.route_split) == tuple(want)
+        assert (foc.investor, foc.n_paths, foc.dt) == (i, 40, ctx.dt)
+        if zero_beta:
+            # without an unspanned loading the two routes are one computation
+            assert foc.route_split == 0.0
+
+    @given(**draws)
+    @settings(max_examples=10, deadline=None)
+    def test_order_levels_equal_full_paths(self, seed, antithetic, chunk_size):
+        econ, sim, _, _ = _case(seed, antithetic, chunk_size, steps_per_year=6)
+        rep = foc_order(econ, sim, investor=-1, doublings=2)
+        i = econ.n_investors - 1
+        ctxs = [dynamics._SimContext(econ, dataclasses.replace(sim, steps_per_year=6 * 2**k),
+                                     econ.horizon) for k in range(3)]
+        sums, n = np.zeros(3), 0
+        for chunk in dynamics._iter_chunks(ctxs[-1]):
+            for level, ctx in enumerate(ctxs):
+                factor = 2 ** (2 - level)
+                lv = chunk if factor == 1 else dynamics._coarse(ctx, chunk.dW, factor)
+                r_ins = _full_foc(dynamics._bundle(lv), i, 0.0, raw=False)
+                sums[level] += float(np.abs(r_ins[:, -1]).sum())
+            n += chunk.m
+        assert rep.residuals == tuple(sums / n)
+        assert rep.steps_per_year == (6, 12, 24)
+
+
 def _ratios(econ) -> np.ndarray:
     """Belief loadings ``beta_Y / tau`` as a column, one row per investor."""
     return np.array([[inv.beta_Y / inv.tau] for inv in econ.investors])
@@ -290,6 +408,9 @@ _WALKED = [
     lambda econ: verify_forward_measure(econ, 0.5, _SIM, "annuity"),
     lambda econ: mc_risk_premium(econ, 0.5, "annuity", _SIM),
     lambda econ: terminal.verify_terminal_clearing(econ, _SIM),
+    lambda econ: verify_clearing(econ, _SIM),
+    lambda econ: verify_foc(econ, _SIM, investor=1),
+    lambda econ: foc_order(econ, _SIM, doublings=2),
 ]
 
 
@@ -297,7 +418,8 @@ _WALKED = [
     "check",
     _WALKED,
     ids=["martingale_checks", "solve_multipliers", "mc_bond_price", "mc_annuity",
-         "verify_forward_measure", "mc_risk_premium", "verify_terminal_clearing"],
+         "verify_forward_measure", "mc_risk_premium", "verify_terminal_clearing",
+         "verify_clearing", "verify_foc", "foc_order"],
 )
 def test_walked_estimators_build_no_full_paths(monkeypatch, check):
     for name in ("int_rate", "xi_min", "log_density_min", "int_v", "int_sqrt_v_dW", "__init__"):

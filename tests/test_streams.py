@@ -11,7 +11,14 @@ import pytest
 
 from conftest import heterogeneous_economy, reference_economy
 from ivoleq import dynamics
-from ivoleq.dynamics import SimConfig, foc_order, martingale_checks, simulate, verify_foc
+from ivoleq.dynamics import (
+    SimConfig,
+    foc_order,
+    martingale_checks,
+    simulate,
+    verify_budget_martingale,
+    verify_foc,
+)
 from ivoleq.terminal import solve_terminal_multipliers, verify_terminal_clearing
 
 
@@ -85,13 +92,48 @@ class TestTerminalDrawsNoIncrements:
 
 
 def test_foc_order_draws_no_increments(monkeypatch):
-    def refuse(self, *args):
-        raise AssertionError("foc_order read idiosyncratic increments")
+    simulate_chunk = dynamics._simulate_chunk
 
-    monkeypatch.setattr(dynamics.PathBundle, "_dz_block", refuse)
-    monkeypatch.setattr(dynamics.PathBundle, "dZ", property(refuse))
+    def without_idiosyncratic_stream(ctx, seed, m):
+        chunk = simulate_chunk(ctx, seed, m)
+        chunk.z_seed = None  # a dZ draw from this chunk raises
+        return chunk
+
+    monkeypatch.setattr(dynamics, "_simulate_chunk", without_idiosyncratic_stream)
     rep = foc_order(heterogeneous_economy(), _sim(steps_per_year=16), doublings=2)
     assert rep.order > 0.5
+    with pytest.raises(ValueError, match="without this random stream"):
+        verify_foc(heterogeneous_economy(), _sim())
+
+
+class TestInvestorIndex:
+    """``investor`` is resolved before any path is drawn."""
+
+    CHECKS = {
+        "verify_foc": lambda econ, i: verify_foc(econ, _sim(), investor=i),
+        "foc_order": lambda econ, i: foc_order(econ, _sim(steps_per_year=16), investor=i),
+        "verify_budget_martingale": lambda econ, i: verify_budget_martingale(
+            econ, _sim(n_paths=16, steps_per_year=12), investor=i, inner_paths=8),
+    }
+
+    @pytest.mark.parametrize("name", CHECKS)
+    def test_negative_index_counts_from_the_end(self, name):
+        econ = heterogeneous_economy()
+        got, want = (self.CHECKS[name](econ, i) for i in (-1, 1))
+        assert got == want
+        if hasattr(got, "investor"):
+            assert got.investor == 1
+
+    @pytest.mark.parametrize("name", CHECKS)
+    @pytest.mark.parametrize("investor", [2, -3])
+    def test_out_of_range_is_refused_before_drawing(self, monkeypatch, name, investor):
+        def refuse(*args):
+            raise AssertionError("paths were drawn for an invalid investor")
+
+        monkeypatch.setattr(dynamics, "_simulate_chunk", refuse)
+        message = f"investor {investor} is out of range for 2 investors"
+        with pytest.raises(ValueError, match=message):
+            self.CHECKS[name](heterogeneous_economy(), investor)
 
 
 class TestSharedChunkLoop:
@@ -170,3 +212,13 @@ def test_walk_holds_one_increment_block():
         dynamics._martingale_plan(econ, sim), dynamics._multipliers_plan(econ, sim)
     ))
     assert peak < 1.5 * block
+
+
+def test_foc_check_holds_one_increment_block_per_stream():
+    # one walk of one 4096 x 252 chunk: the dW block, the investor's dZ block
+    # (the second of the stream, drawn into the same buffer as the first) and
+    # (paths,) vectors
+    econ = heterogeneous_economy()
+    sim = SimConfig(n_paths=4096, seed=3, antithetic=False)
+    block = sim.n_paths * sim.n_steps(econ.horizon) * 8
+    assert _peak_bytes(lambda: verify_foc(econ, sim, investor=1)) < 3 * block
