@@ -18,6 +18,7 @@ from ivoleq.model import (
     AggregateParams,
     EconomyParams,
     GroupSpec,
+    InvalidEconomyError,
     InvestorParams,
     TwoGroupLimit,
     ValidationReport,
@@ -69,6 +70,7 @@ __all__ = [
     "ConfigError",
     "EconomyParams",
     "GroupSpec",
+    "InvalidEconomyError",
     "InvestorParams",
     "McEstimate",
     "RiccatiExplosionError",

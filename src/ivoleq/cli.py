@@ -13,8 +13,9 @@ Every command takes a config path plus ``--seed``, ``--format {csv,json}``
 and ``--out DIR``.  Without ``--out`` results go to stdout (aligned text for
 csv format, a JSON document otherwise); with ``--out`` files are written and
 each run drops a manifest next to its outputs.  Exit status: 0 on success,
-1 on a failed check, 2 on a missing or unparseable config, 3 when the
-economy cannot be computed because an exponent explodes inside the horizon.
+1 on a failed check, 2 on a missing or unparseable config or one the command
+cannot take, 3 when the economy cannot be computed because it fails
+validation or an exponent explodes inside the horizon.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .equilibrium import (
 from .model import (
     EconomyParams,
     GroupSpec,
+    InvalidEconomyError,
     TwoGroupLimit,
     derive_aggregates,
     limit_aggregates,
@@ -129,7 +131,7 @@ def _emit_table(
 def _homogeneous_template(econ: EconomyParams):
     first = econ.investors[0]
     if any(inv != first for inv in econ.investors[1:]):
-        raise SystemExit("table commands need a homogeneous investor template")
+        raise ConfigError("table commands need a homogeneous investor template")
     return first
 
 
@@ -617,7 +619,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except RiccatiExplosionError as exc:
+    except (RiccatiExplosionError, InvalidEconomyError) as exc:
         print(f"cannot compute: {exc}", file=sys.stderr)
         return 3
 

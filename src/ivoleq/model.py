@@ -27,6 +27,7 @@ __all__ = [
     "TwoGroupLimit",
     "CheckResult",
     "ValidationReport",
+    "InvalidEconomyError",
     "derive_aggregates",
     "aggregates_from_arrays",
     "limit_aggregates",
@@ -238,10 +239,6 @@ class AggregateParams:
         return self.ode_linear**2 - 4.0 * self.ode_quad * self.ode_const
 
     @property
-    def discriminant_rep(self) -> float:
-        return self.ode_linear**2 - 4.0 * self.ode_quad * self.ode_const_rep
-
-    @property
     def level_drift(self) -> float:
         """Maturity derivative of the level exponent at b = 0."""
         return self.mu_total / self.tau_total
@@ -373,10 +370,11 @@ def replicate_investor(template: InvestorParams, n: int) -> tuple[InvestorParams
 def validate(econ: EconomyParams) -> ValidationReport:
     """Check the model assumptions; report, never raise.
 
-    Gating checks: state positivity (``mu_v >= sigma_v**2 / 2 > 0``), a
-    positive discriminant with nonzero constant term for the exponent ODE,
+    Gating checks: state positivity (``mu_v >= sigma_v**2 / 2 > 0``),
     market and full-insurance exponents that stay finite over the horizon,
-    and zero net supply of initial wealth.  The sign of the ODE constant
+    and zero net supply of initial wealth.  The finiteness check reports the
+    explosion margin: the earliest explosion time minus the horizon, or
+    "none" when neither exponent explodes.  The sign of the ODE constant
     term, which decides whether the spot rate is bounded below, is reported
     as information only.
     """
@@ -395,30 +393,20 @@ def validate(econ: EconomyParams) -> ValidationReport:
         )
     )
 
-    q = agg.discriminant
-    checks.append(
-        CheckResult(
-            "exponent_discriminant",
-            q > 0.0,
-            f"discriminant = {q:.6g} (needs > 0)",
-        )
-    )
-    c0 = agg.ode_const
-    checks.append(
-        CheckResult(
-            "exponent_const_nonzero",
-            c0 != 0.0,
-            f"ODE constant term = {c0:.6g} (needs != 0)",
-        )
-    )
-
     from ivoleq.riccati import RiccatiExplosionError, solve_pair  # riccati imports this module
 
+    horizon = econ.horizon
     try:
-        solve_pair(agg)
-        finite, detail = True, f"both exponents finite on [0, {econ.horizon:.6g}]"
-    except (RiccatiExplosionError, ValueError) as exc:
+        pair = solve_pair(agg)
+    except RiccatiExplosionError as exc:
+        finite, detail = False, f"{exc}; explosion margin {exc.explosion_time - horizon:.6g}"
+    except ValueError as exc:
         finite, detail = False, str(exc)
+    else:
+        times = [sol.explosion_time for sol in pair if sol.explosion_time is not None]
+        margin = f"{min(times) - horizon:.6g}" if times else "none"
+        finite = True
+        detail = f"both exponents finite on [0, {horizon:.6g}]; explosion margin {margin}"
     checks.append(CheckResult("exponents_finite_on_horizon", finite, detail))
 
     net = fsum(i.X0 for i in econ.investors)
@@ -443,11 +431,15 @@ def validate(econ: EconomyParams) -> ValidationReport:
     return ValidationReport(checks=tuple(checks), info=info, aggregates=agg)
 
 
+class InvalidEconomyError(ValueError):
+    """The economy fails a gating check of :func:`validate`."""
+
+
 def require_valid(econ: EconomyParams) -> AggregateParams:
     """Validate and return aggregates, raising if any gating check fails."""
     report = validate(econ)
     if not report.passed:
         failed = ", ".join(c.name for c in report.checks if not c.passed)
-        raise ValueError(f"economy fails validation checks: {failed}")
+        raise InvalidEconomyError(f"economy fails validation checks: {failed}")
     return report.aggregates
 

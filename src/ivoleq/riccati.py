@@ -8,19 +8,27 @@ exponent solves a scalar Riccati equation
 
 and the level exponent integrates ``da/ds = level_drift - b(s) * mu_v``.
 
-With ``u(s) = exp(linear * s / 2) * w(s)`` the substitution
-``b = -u' / (quad * u)`` linearizes the equation; for a positive
-discriminant ``w(s) = l cosh(l s / 2) - linear * sinh(l s / 2)`` with
-``l = sqrt(disc)``, giving
+The substitution ``b = -u' / (quad * u)`` linearizes the equation.  With
+``x = s / 2``, ``C = cosh(sqrt(disc) x)`` and
+``S = sinh(sqrt(disc) x) / (sqrt(disc) x)`` its solution is
+``u(s) = exp(linear x) w(s)`` with ``w = C - linear x S``, giving
 
-    b(s)       = 2 const sinh(l s / 2) / w(s)
-    int_0^s b  = -(linear s / 2 + log(w(s) / l)) / quad
+    b(s)       = const s S / w
+    int_0^s b  = -(linear x + log w) / quad
 
-and the same expressions with ``sin``/``cos`` and ``l = sqrt(-disc)`` when
-the discriminant is negative.  The negative-discriminant solution always
-explodes where ``w`` first vanishes; the positive branch explodes only when
-``linear > l``, which requires a positive constant term together with a
-strongly destabilizing linear term.  Both solvers report the explosion time.
+``C`` and ``S`` are entire in the discriminant: below zero they are
+``cos`` and ``sin(t) / t`` of ``t = sqrt(-disc) x``, and at zero both equal
+1, so one expression covers every sign.  Only ``C`` and
+``x S = sinh(sqrt(disc) x) / sqrt(disc)`` are evaluated, the latter
+divided by the scalar root (``x`` itself at zero).  Above zero both are
+taken over ``exp(sqrt(disc) x)``, which keeps large ``disc * s`` finite.
+For ``linear > 0`` the difference ``w`` cancels, so it is evaluated as
+``(C**2 - linear**2 x**2 S**2) / (C + linear x S)`` instead.
+
+The solution explodes at the first zero of ``w``: always when the
+discriminant is negative, and otherwise only when ``linear > sqrt(disc)``,
+which needs a positive constant term with a destabilizing linear term.
+Both solvers report the explosion time.
 
 The closed form is the production path; :func:`solve_numerical` is the
 independent check (classic fourth-order Runge-Kutta, fixed step, cubic
@@ -148,18 +156,23 @@ class RiccatiSolution:
         return float(out) if np.isscalar(s) or np.ndim(s) == 0 else out
 
 
-def _log_cosh(x: NDArray[np.float64]) -> NDArray[np.float64]:
-    # stable for large arguments: log cosh x = |x| + log1p(exp(-2|x|)) - log 2
-    ax = np.abs(x)
-    return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
+def _explosion_time(c1: float, disc: float) -> float | None:
+    """First positive zero of ``w(s) = C - c1 x S``, or None if there is none."""
+    if disc < 0.0:
+        om = math.sqrt(-disc)
+        return 2.0 / om * math.atan2(om, c1)
+    lam = math.sqrt(disc)
+    if c1 <= lam:
+        return None
+    # tanh(lam s / 2) = lam / c1, whose limit at lam = 0 is s = 2 / c1
+    return 2.0 / c1 if lam == 0.0 else math.atanh(lam / c1) * 2.0 / lam
 
 
 def solve_closed_form(coeffs: RiccatiCoeffs, horizon: float) -> RiccatiSolution:
     """Closed-form exponents on ``[0, horizon]``.
 
-    Raises ``ValueError`` for a zero discriminant (degenerate double root;
-    use the integrator) and :class:`RiccatiExplosionError` when the solution
-    blows up at or before ``horizon``.
+    Raises :class:`RiccatiExplosionError` when the solution blows up at or
+    before ``horizon``.
     """
     if not horizon > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -170,67 +183,40 @@ def solve_closed_form(coeffs: RiccatiCoeffs, horizon: float) -> RiccatiSolution:
     drift, mu_v = coeffs.level_drift, coeffs.mu_v
     disc = coeffs.discriminant
 
-    if c0 == 0.0:
-        # slope exponent stays at the root b = 0; level is a straight line
-        return RiccatiSolution(
-            coeffs,
-            "closed",
-            horizon,
-            None,
-            lambda s: np.zeros_like(s),
-            lambda s: drift * s,
-        )
-
-    if disc == 0.0:
-        raise ValueError(
-            "zero discriminant (double root); closed form not supported, "
-            "use solve_numerical"
-        )
-
-    if disc > 0.0:
-        lam = math.sqrt(disc)
-        explosion = None
-        if c1 > lam:
-            # w(s) = lam cosh - c1 sinh hits zero at tanh(lam s / 2) = lam / c1
-            explosion = math.atanh(lam / c1) * 2.0 / lam
-            if explosion <= horizon:
-                raise RiccatiExplosionError(
-                    f"slope exponent explodes at s = {explosion:.6g} "
-                    f"<= horizon {horizon}",
-                    explosion,
-                )
-
-        def b_fn(s, lam=lam):
-            th = np.tanh(0.5 * lam * s)
-            return 2.0 * c0 * th / (lam - c1 * th)
-
-        def a_fn(s, lam=lam):
-            x = 0.5 * lam * s
-            th = np.tanh(x)
-            log_w = _log_cosh(x) + np.log((lam - c1 * th) / lam)
-            return drift * s + (mu_v / c2) * (0.5 * c1 * s + log_w)
-
-        return RiccatiSolution(coeffs, "closed", horizon, explosion, b_fn, a_fn)
-
-    # negative discriminant: trigonometric branch, finite-time blow-up at the
-    # first zero of w(s) = om cos(om s / 2) - c1 sin(om s / 2)
-    om = math.sqrt(-disc)
-    explosion = 2.0 / om * math.atan2(om, c1)
-    if explosion <= horizon:
+    explosion = _explosion_time(c1, disc)
+    if explosion is not None and explosion <= horizon:
         raise RiccatiExplosionError(
-            f"slope exponent explodes at s = {explosion:.6g} <= horizon {horizon} "
-            "(negative discriminant)",
+            f"slope exponent explodes at s = {explosion:.6g} <= horizon {horizon}",
             explosion,
         )
+    root = math.sqrt(abs(disc))
 
-    def b_fn(s, om=om):
-        x = 0.5 * om * s
-        return 2.0 * c0 * np.sin(x) / (om * np.cos(x) - c1 * np.sin(x))
+    def parts(s):
+        """``x = s / 2``; ``x S`` and ``w`` over ``exp(log_scale)``; ``log_scale``."""
+        x = 0.5 * s
+        y = root * x
+        if disc < 0.0:
+            log_scale, unit, big_c, xs = 0.0, 1.0, np.cos(y), np.sin(y) / root
+        elif disc > 0.0:
+            # cosh and sinh over exp(y), so a large disc * s cannot overflow
+            t = -2.0 * y
+            log_scale, unit = y, np.exp(t)
+            big_c, xs = 0.5 * (1.0 + unit), np.expm1(t) / (-2.0 * root)
+        else:
+            log_scale, unit, big_c, xs = 0.0, 1.0, 1.0, x
+        if c1 > 0.0:
+            # C - c1 x S cancels; divide C^2 - c1^2 x^2 S^2, which is
+            # unit - 4 c2 c0 x^2 S^2, by the conjugate C + c1 x S instead
+            return x, xs, (unit - 4.0 * c2 * c0 * xs * xs) / (big_c + c1 * xs), log_scale
+        return x, xs, big_c - c1 * xs, log_scale
 
-    def a_fn(s, om=om):
-        x = 0.5 * om * s
-        w = om * np.cos(x) - c1 * np.sin(x)
-        return drift * s + (mu_v / c2) * (0.5 * c1 * s + np.log(w / om))
+    def b_fn(s):
+        _, xs, w, _ = parts(s)
+        return 2.0 * c0 * xs / w
+
+    def a_fn(s):
+        x, _, w, log_scale = parts(s)
+        return drift * s + (mu_v / c2) * (c1 * x + log_scale + np.log(w))
 
     return RiccatiSolution(coeffs, "closed", horizon, explosion, b_fn, a_fn)
 
@@ -347,11 +333,4 @@ def constant_rate_solution(rate: float, horizon: float) -> RiccatiSolution:
     coeffs = RiccatiCoeffs(
         const_term=0.0, linear_term=0.0, quad_term=1.0, level_drift=rate, mu_v=0.0
     )
-    return RiccatiSolution(
-        coeffs,
-        "closed",
-        horizon,
-        None,
-        lambda s: np.zeros_like(s),
-        lambda s: rate * s,
-    )
+    return solve_closed_form(coeffs, horizon)

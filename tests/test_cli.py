@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import csv
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ivoleq.cli import main
 from ivoleq import __version__
 from ivoleq.equilibrium import discrete_mpr_gap, mpr_curve, term_structure
-from ivoleq.model import derive_aggregates
+from ivoleq.model import derive_aggregates, validate
+from ivoleq.config import load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = str(ROOT / "configs" / "table1.json")
@@ -24,6 +28,15 @@ BAD_FELLER = """
   "horizon_T": 1.0,
   "investor": {"tau": 0.5, "sigma_Y": 0.3, "beta_Y": 0.2},
   "replicate": 2
+}
+"""
+
+# fails only the zero-net-supply check: initial wealth sums to 0.1
+UNBALANCED = """
+{
+  "vol": {"mu_v": 0.05, "kappa_v": -0.7, "sigma_v": -0.3, "v0": 1.0},
+  "horizon_T": 1.0,
+  "investors": [{"tau": 0.5, "beta_Y": 0.2, "X0": 0.1}, {"tau": 0.5, "beta_Y": 0.2}]
 }
 """
 
@@ -181,8 +194,20 @@ class TestExitCodes:
             }
             """
         )
-        with pytest.raises(SystemExit):
-            main(["table1", str(cfg)])
+        for command in ("table1", "table2"):
+            assert main([command, str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert err == "config error: table commands need a homogeneous investor template\n"
+
+    def test_invalid_economy_is_a_typed_exit(self, tmp_path, capsys):
+        cfg = tmp_path / "unbalanced.json"
+        cfg.write_text(UNBALANCED)
+        assert main(["validate", str(cfg)]) == 1
+        capsys.readouterr()
+        for argv in (["verify", "--n-paths", "200"], ["terminal", "--n-paths", "200"]):
+            assert main([argv[0], str(cfg), *argv[1:]]) == 3
+            err = capsys.readouterr().err
+            assert err == "cannot compute: economy fails validation checks: zero_net_supply\n"
 
     def test_exploding_exponent_is_a_typed_exit(self, tmp_path, capsys):
         cfg = tmp_path / "exploding.json"
@@ -195,3 +220,56 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("cannot compute: slope exponent explodes")
             assert err.count("\n") == 1
+
+
+def draw_config(seed: int, zero_income_risk: bool) -> dict:
+    """A random economy in the config format, over the benchmark's ranges.
+
+    About one draw in seven has a negative discriminant; without income
+    risk the exponent ODE's constant term is exactly zero.
+    """
+    rng = np.random.default_rng(seed)
+    sigma_v = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.4)
+    vol = {
+        "mu_v": rng.uniform(0.5 * sigma_v**2 + 0.01, 0.4),
+        "kappa_v": rng.uniform(-1.0, 0.3),
+        "sigma_v": sigma_v,
+        "v0": rng.uniform(0.3, 2.0),
+    }
+    x0 = rng.uniform(-0.5, 0.5, size=int(rng.integers(1, 4)))
+    x0 -= x0.mean()
+    risk = 0.0 if zero_income_risk else 1.0
+    investors = [
+        {
+            "tau": rng.uniform(0.3, 1.5),
+            "sigma_Y": risk * rng.uniform(0.0, 0.5),
+            "beta_Y": risk * rng.uniform(0.0, 0.5),
+            "kappa_Y": risk * rng.uniform(-0.3, 0.3),
+            "mu_Y": rng.uniform(-0.2, 0.2),
+            "Y0": rng.uniform(-1.0, 1.0),
+            "X0": float(x),
+        }
+        for x in x0
+    ]
+    return {"vol": vol, "horizon_T": rng.uniform(0.5, 2.0), "investors": investors}
+
+
+class TestValidateMeansComputable:
+    @given(seed=st.integers(0, 2**31), zero_income_risk=st.booleans())
+    @example(seed=8, zero_income_risk=False)  # negative discriminant, one investor
+    @example(seed=41, zero_income_risk=False)  # negative discriminant, three investors
+    @example(seed=0, zero_income_risk=True)  # zero constant term
+    @settings(max_examples=20, deadline=None)
+    def test_every_command_exits_zero_or_one(self, seed, zero_income_risk):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "economy.json"
+            cfg.write_text(json.dumps(draw_config(seed, zero_income_risk)))
+            if not validate(load_config(cfg)).passed:
+                return
+            for argv in (
+                ["validate"],
+                ["curves"],
+                ["verify", "--suite", "all", "--n-paths", "300"],
+                ["terminal", "--n-paths", "300"],
+            ):
+                assert main([argv[0], str(cfg), *argv[1:]]) in (0, 1)

@@ -89,13 +89,17 @@ class TestPermutationInvariance:
             assert getattr(base, field) == getattr(shuffled, field)
 
 
+def finite_check(report):
+    return next(c for c in report.checks if c.name == "exponents_finite_on_horizon")
+
+
 class TestValidation:
     def test_reference_passes(self):
         report = validate(reference_economy(2))
         assert report.passed
         names = [c.name for c in report.checks]
         assert "state_positivity" in names
-        assert "exponent_discriminant" in names
+        assert "exponents_finite_on_horizon" in names
 
     def test_state_positivity_gate(self):
         vol = dataclasses.replace(REFERENCE_VOL, mu_v=0.01)
@@ -109,15 +113,32 @@ class TestValidation:
 
     def test_discriminant_gate(self):
         # moderate mean-reversion with a large squared loading pushes the
-        # discriminant negative
+        # discriminant negative; the exponents are computable until they
+        # explode at s = 5.15 (market) and 5.94 (benchmark)
         vol = VolParams(mu_v=0.05, kappa_v=0.0, sigma_v=-0.3, v0=1.0)
         inv = InvestorParams(tau=1 / 3, sigma_Y=0.3, beta_Y=0.4)
-        econ = EconomyParams(vol=vol, horizon=1.0, investors=(inv,) * 2)
-        report = validate(econ)
-        agg = report.aggregates
-        assert agg.discriminant < 0.0
-        failed = {c.name for c in report.checks if not c.passed}
-        assert "exponent_discriminant" in failed
+        short = validate(EconomyParams(vol=vol, horizon=1.0, investors=(inv,) * 2))
+        assert short.aggregates.discriminant < 0.0
+        assert short.passed
+        assert "explosion margin 4.15164" in finite_check(short).detail
+        long = validate(EconomyParams(vol=vol, horizon=6.0, investors=(inv,) * 2))
+        failed = {c.name for c in long.checks if not c.passed}
+        assert failed == {"exponents_finite_on_horizon"}
+        assert finite_check(long).detail.startswith("slope exponent explodes at s = 5.15164")
+
+    @pytest.mark.parametrize(
+        "investors",
+        [
+            (InvestorParams(tau=0.5, sigma_Y=0.3, beta_Y=0.2),),
+            (InvestorParams(tau=0.5, sigma_Y=0.3), InvestorParams(tau=1.0, sigma_Y=0.1)),
+            (InvestorParams(tau=0.5), InvestorParams(tau=1.0)),
+        ],
+        ids=["one_investor", "zero_beta", "zero_const_term"],
+    )
+    def test_edge_economies_pass(self, investors):
+        report = validate(EconomyParams(vol=REFERENCE_VOL, horizon=1.0, investors=investors))
+        assert report.passed
+        assert finite_check(report).detail.endswith("explosion margin none")
 
     def test_net_supply_gate(self):
         econ = EconomyParams(

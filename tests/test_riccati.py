@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,6 +40,27 @@ A_REP_AT_1 = -0.004664824717
 TRIG_B_AT_1 = 0.927045321378
 TRIG_A_AT_1 = -0.024663978918
 TRIG_EXPLOSION = 42.84980989010479
+
+
+def assert_matches_rk4(coeffs: RiccatiCoeffs, horizon: float, tol: float = 1e-8):
+    closed = solve_closed_form(coeffs, horizon)
+    num = solve_numerical(coeffs, horizon, step=1e-4)
+    grid = np.linspace(0.0, horizon, 201)
+    for f_num, f_closed in ((num.eval_b, closed.eval_b), (num.eval_a, closed.eval_a)):
+        exact = f_closed(grid)
+        assert np.all(np.isfinite(exact))
+        assert np.max(np.abs(f_num(grid) - exact) / np.maximum(1.0, np.abs(exact))) <= tol
+
+
+def critical_coeffs(linear: float, disc: float = 0.0, quad: float = 0.5) -> RiccatiCoeffs:
+    """Coefficients whose discriminant is ``disc`` (up to rounding)."""
+    return RiccatiCoeffs(
+        const_term=(linear**2 - disc) / (4.0 * quad),
+        linear_term=linear,
+        quad_term=quad,
+        level_drift=0.02,
+        mu_v=0.05,
+    )
 
 
 def trig_cell_aggregates():
@@ -96,21 +118,26 @@ class TestClosedForm:
         assert np.all(sol.eval_b(grid) < 0.0)
 
     def test_zero_const_term_degenerates(self):
-        coeffs = RiccatiCoeffs(
-            const_term=0.0, linear_term=-0.5, quad_term=0.045, level_drift=0.1, mu_v=0.05
-        )
-        sol = solve_closed_form(coeffs, 2.0)
-        grid = np.linspace(0.0, 2.0, 9)
-        assert np.all(sol.eval_b(grid) == 0.0)
-        assert sol.eval_a(grid) == pytest.approx(0.1 * grid, abs=1e-15)
+        # the slope stays exactly at its root b = 0 with no cancellation in
+        # the level, however long the span and whatever the linear term's sign
+        for linear, horizon in ((-0.5, 2.0), (-0.5, 200.0), (0.5, 200.0)):
+            coeffs = RiccatiCoeffs(
+                const_term=0.0, linear_term=linear, quad_term=0.045, level_drift=0.1, mu_v=0.05
+            )
+            sol = solve_closed_form(coeffs, horizon)
+            grid = np.linspace(0.0, horizon, 41)
+            assert sol.explosion_time is None
+            assert np.all(sol.eval_b(grid) == 0.0)
+            assert sol.eval_a(grid) == pytest.approx(0.1 * grid, rel=1e-14, abs=1e-15)
 
-    def test_critical_discriminant_rejected(self):
-        coeffs = RiccatiCoeffs(
-            const_term=0.5, linear_term=1.0, quad_term=0.5, level_drift=0.0, mu_v=0.05
-        )
-        assert coeffs.discriminant == 0.0
-        with pytest.raises(ValueError):
-            solve_closed_form(coeffs, 1.0)
+    def test_critical_discriminant_matches_rk4(self):
+        # a double root: the explosion time is 2 / linear, or none
+        for linear in (1.0, 0.5, 0.0, -1.0):
+            coeffs = critical_coeffs(linear)
+            assert coeffs.discriminant == 0.0
+            sol = solve_closed_form(coeffs, 1.0)
+            assert sol.explosion_time == (2.0 / linear if linear > 0.0 else None)
+            assert_matches_rk4(coeffs, 1.0)
 
     def test_domain_is_enforced(self):
         sol, _ = solve_pair(derive_aggregates(reference_economy(2)))
@@ -120,6 +147,46 @@ class TestClosedForm:
             sol.eval_b(-0.2)
         # tiny overshoot from accumulated grid arithmetic is clipped
         assert sol.eval_b(1.0 + 1e-10) == sol.eval_b(1.0)
+
+
+class TestOneExpression:
+    """Edge cases of the single closed form near and far from a zero discriminant."""
+
+    @pytest.mark.parametrize("disc", [1e-14, -1e-14, 1e-8, -1e-8])
+    @pytest.mark.parametrize("linear", [1.0, -1.0])
+    def test_near_critical_matches_rk4(self, linear, disc):
+        assert_matches_rk4(critical_coeffs(linear, disc), 1.0)
+
+    def test_explosion_time_continuous_across_zero_discriminant(self):
+        times = [
+            solve_closed_form(critical_coeffs(1.0, disc), 1.0).explosion_time
+            for disc in (-1e-12, 0.0, 1e-12)
+        ]
+        assert times == pytest.approx([2.0] * 3, rel=1e-10)
+
+    def test_large_positive_discriminant_stays_finite(self):
+        coeffs = RiccatiCoeffs(
+            const_term=0.26, linear_term=-400.0, quad_term=0.045, level_drift=0.02, mu_v=0.05
+        )
+        sol = solve_closed_form(coeffs, 10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b, a = sol.eval_b(10.0), sol.eval_a(np.array([9.0, 10.0]))
+        # the slope sits at the stable root; the level grows at its rate
+        stable = 2.0 * coeffs.const_term / (-coeffs.linear_term + math.sqrt(coeffs.discriminant))
+        assert b == pytest.approx(stable, rel=1e-14)
+        assert a[1] - a[0] == pytest.approx(coeffs.level_drift - stable * coeffs.mu_v, rel=1e-12)
+
+    def test_evaluates_up_to_the_horizon_near_an_explosion(self):
+        coeffs = critical_coeffs(1.0)
+        horizon = 1.9  # the explosion is at s = 2
+        assert_matches_rk4(coeffs, horizon)
+        sol = solve_closed_form(coeffs, horizon)
+        assert sol.eval_b(horizon) == pytest.approx(
+            coeffs.const_term * horizon / (1.0 - 0.5 * horizon), rel=1e-14
+        )
+        with pytest.raises(ValueError):
+            sol.eval_b(1.95)
 
 
 class TestNumericalIntegration:
