@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from math import fsum
 from typing import Iterable, Sequence
 
+import numpy as np
+
 __all__ = [
     "VolParams",
     "InvestorParams",
@@ -372,9 +374,10 @@ def validate(econ: EconomyParams) -> ValidationReport:
 
     Gating checks: state positivity (``mu_v >= sigma_v**2 / 2 > 0``),
     market and full-insurance exponents that stay finite over the horizon,
-    and zero net supply of initial wealth.  The finiteness check reports the
-    explosion margin: the earliest explosion time minus the horizon, or
-    "none" when neither exponent explodes.  The sign of the ODE constant
+    and zero net supply of initial wealth.  The finiteness check also fails
+    when the exponents do not evaluate to finite numbers at the horizon, and
+    it reports the explosion margin: the earliest explosion time minus the
+    horizon, or "none" when neither exponent explodes.  The sign of the ODE constant
     term, which decides whether the spot rate is bounded below, is reported
     as information only.
     """
@@ -403,10 +406,20 @@ def validate(econ: EconomyParams) -> ValidationReport:
     except ValueError as exc:
         finite, detail = False, str(exc)
     else:
+        # a zero constant term with a large linear term * horizon underflows
+        # w, the one case where the span is clear of explosions yet the
+        # exponents do not evaluate; the horizon is where w is smallest
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ends = [(sol.eval_b(horizon), sol.eval_a(horizon)) for sol in pair]
         times = [sol.explosion_time for sol in pair if sol.explosion_time is not None]
         margin = f"{min(times) - horizon:.6g}" if times else "none"
-        finite = True
-        detail = f"both exponents finite on [0, {horizon:.6g}]; explosion margin {margin}"
+        finite = all(math.isfinite(v) for end in ends for v in end)
+        detail = (
+            f"both exponents finite on [0, {horizon:.6g}]; explosion margin {margin}"
+            if finite
+            else "exponents not representable at the horizon: (b, a) = "
+            + ", ".join(f"({b:.6g}, {a:.6g})" for b, a in ends)
+        )
     checks.append(CheckResult("exponents_finite_on_horizon", finite, detail))
 
     net = fsum(i.X0 for i in econ.investors)

@@ -126,6 +126,19 @@ class TestValidation:
         assert failed == {"exponents_finite_on_horizon"}
         assert finite_check(long).detail.startswith("slope exponent explodes at s = 5.15164")
 
+    def test_unrepresentable_exponents_fail(self):
+        # a zero constant term with linear term 1 never explodes, but w is
+        # evaluated over exp(s / 2) as exp(-s), which underflows past s = 745
+        vol = VolParams(mu_v=0.05, kappa_v=1.0, sigma_v=0.3, v0=1.0)
+        investors = (InvestorParams(tau=0.5), InvestorParams(tau=1.0))
+        assert validate(EconomyParams(vol=vol, horizon=700.0, investors=investors)).passed
+        report = validate(EconomyParams(vol=vol, horizon=1400.0, investors=investors))
+        assert report.aggregates.ode_const == 0.0
+        assert report.aggregates.ode_linear == 1.0
+        failed = {c.name for c in report.checks if not c.passed}
+        assert failed == {"exponents_finite_on_horizon"}
+        assert finite_check(report).detail.startswith("exponents not representable")
+
     @pytest.mark.parametrize(
         "investors",
         [

@@ -120,7 +120,13 @@ class TestClosedForm:
     def test_zero_const_term_degenerates(self):
         # the slope stays exactly at its root b = 0 with no cancellation in
         # the level, however long the span and whatever the linear term's sign
-        for linear, horizon in ((-0.5, 2.0), (-0.5, 200.0), (0.5, 200.0)):
+        # (an absolute 1e-15 is below one ulp of a at s = 200)
+        cases = (
+            (-0.5, 2.0, {"abs": 1e-15}),
+            (-0.5, 200.0, {"rel": 1e-14}),
+            (0.5, 200.0, {"rel": 1e-14}),
+        )
+        for linear, horizon, tol in cases:
             coeffs = RiccatiCoeffs(
                 const_term=0.0, linear_term=linear, quad_term=0.045, level_drift=0.1, mu_v=0.05
             )
@@ -128,7 +134,7 @@ class TestClosedForm:
             grid = np.linspace(0.0, horizon, 41)
             assert sol.explosion_time is None
             assert np.all(sol.eval_b(grid) == 0.0)
-            assert sol.eval_a(grid) == pytest.approx(0.1 * grid, rel=1e-14, abs=1e-15)
+            assert sol.eval_a(grid) == pytest.approx(0.1 * grid, **tol)
 
     def test_critical_discriminant_matches_rk4(self):
         # a double root: the explosion time is 2 / linear, or none
