@@ -2,26 +2,41 @@
 
 Subcommands
 -----------
-validate   assumption checks on a config, human-readable or JSON
+validate   assumption checks on a config
 table1     incompleteness effects as the number of investors grows
 table2     two-group limit economies over a grid of weights and tolerances
-curves     term-structure and price-of-risk curves as plot-ready CSV
+curves     term-structure and price-of-risk curves
 verify     Monte Carlo verification suites (oracles and identities)
 terminal   terminal-wealth variant checks
 
 Every command takes a config path plus ``--seed``, ``--format {csv,json}``
-and ``--out DIR``.  Without ``--out`` results go to stdout (aligned text for
-csv format, a JSON document otherwise); with ``--out`` files are written and
-each run drops a manifest next to its outputs.  Exit status: 0 on success,
-1 on a failed check, 2 on a missing or unparseable config or one the command
-cannot take, 3 when the economy cannot be computed because it fails
-validation or an exponent explodes inside the horizon.
+and ``--out DIR``, and writes its result by one rule:
+
+- without ``--out``, csv format prints the report lines of ``validate``,
+  ``verify`` and ``terminal``, and the other commands' tables aligned, with
+  a blank line between two tables;
+- without ``--out``, json format prints one JSON document, the run manifest
+  first;
+- with ``--out``, csv format writes one ``<table>.csv`` per table and json
+  format writes ``<command>.json``; then ``<command>_manifest.json`` records
+  the run and lists exactly those files as its ``outputs``, and stdout gets
+  one ``wrote <path>`` line per output.
+
+Check results are tables too: ``validate`` has the columns
+``name,kind,passed,detail`` (``kind`` is ``gate`` or ``info``), and
+``verify`` and ``terminal`` have ``name,value,threshold,passed,
+standard_error,elapsed``.  Exit status: 0 on success, 1 on a failed check,
+2 on a missing or unparseable config or one the command cannot take, 3 when
+the economy cannot be computed because it fails validation or an exponent
+explodes inside the horizon.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import sys
 import time
@@ -52,6 +67,7 @@ from .model import (
     derive_aggregates,
     limit_aggregates,
     replicate_investor,
+    require_valid,
     validate,
 )
 from .riccati import RiccatiExplosionError, solve_pair
@@ -90,42 +106,54 @@ def _fmt4(x: float) -> str:
     return str(Decimal(x).quantize(Decimal("0.0001"), rounding=ROUND_HALF_EVEN))
 
 
-def _write_rows(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    lines = [",".join(header)] + [",".join(r) for r in rows]
-    path.write_text("\n".join(lines) + "\n")
+def _csv_text(header: list[str], rows: list[list]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
 
 
-def _print_aligned(header: list[str], rows: list[list[str]]) -> None:
+def _aligned(header: list[str], rows: list[list[str]]) -> str:
     table = [header] + rows
     widths = [max(len(r[j]) for r in table) for j in range(len(header))]
-    for r in table:
-        print("  ".join(cell.rjust(w) for cell, w in zip(r, widths)))
+    return "\n".join("  ".join(cell.rjust(w) for cell, w in zip(r, widths)) for r in table)
 
 
-def _emit_table(
-    args, name: str, header: list[str], rows: list[list[str]], payload
+def _emit(
+    args,
+    name: str,
+    doc: dict,
+    tables: dict[str, tuple[list[str], list[list]]],
+    text: list[str] | None = None,
+    ok: bool = True,
 ) -> int:
-    """Render one tabular result per the format/out matrix."""
+    """Write one command's result by the output rule of the module docstring.
+
+    ``doc`` holds the JSON sections, ``tables`` maps a file stem to its
+    header and rows, and ``text`` replaces the aligned tables on the console.
+    Returns the exit status, 1 when ``ok`` is false.
+    """
+    status = 0 if ok else 1
     if args.out is None:
         if args.format == "json":
-            doc = {"manifest": dataclasses.asdict(_manifest(args, ())), name: payload}
-            print(json.dumps(doc, indent=2))
+            manifest = dataclasses.asdict(_manifest(args, ()))
+            print(json.dumps({"manifest": manifest, **doc}, indent=2))
+        elif text is not None:
+            print("\n".join(text))
         else:
-            _print_aligned(header, rows)
-        return 0
+            print("\n\n".join(_aligned(*table) for table in tables.values()))
+        return status
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.format == "json":
-        target = out_dir / f"{name}.json"
-        target.write_text(json.dumps({name: payload}, indent=2) + "\n")
+        files = {out_dir / f"{name}.json": json.dumps(doc, indent=2) + "\n"}
     else:
-        target = out_dir / f"{name}.csv"
-        _write_rows(target, header, rows)
-    manifest_path = out_dir / f"{name}_manifest.json"
-    manifest = _manifest(args, (str(target),))
-    manifest_path.write_text(json.dumps(dataclasses.asdict(manifest), indent=2) + "\n")
-    print(f"wrote {target}")
-    return 0
+        files = {out_dir / f"{stem}.csv": _csv_text(*table) for stem, table in tables.items()}
+    for path, body in files.items():
+        path.write_text(body)
+        print(f"wrote {path}")
+    manifest = dataclasses.asdict(_manifest(args, tuple(str(path) for path in files)))
+    (out_dir / f"{name}_manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    return status
 
 
 def _homogeneous_template(econ: EconomyParams):
@@ -140,27 +168,19 @@ def _homogeneous_template(econ: EconomyParams):
 
 
 def cmd_validate(args) -> int:
-    econ = load_config(args.config)
-    report = validate(econ)
-    if args.format == "json" or args.out is not None:
-        doc = {
-            "manifest": dataclasses.asdict(_manifest(args, ())),
-            "passed": report.passed,
-            "checks": [dataclasses.asdict(c) for c in report.checks],
-            "info": [dataclasses.asdict(c) for c in report.info],
-        }
-        text = json.dumps(doc, indent=2)
-        if args.out is not None:
-            out_dir = Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / "validate.json").write_text(text + "\n")
-            print(f"wrote {out_dir / 'validate.json'}")
-        else:
-            print(text)
-    else:
-        for line in report.lines():
-            print(line)
-    return 0 if report.passed else 1
+    report = validate(load_config(args.config))
+    doc = {
+        "passed": report.passed,
+        "checks": [dataclasses.asdict(c) for c in report.checks],
+        "info": [dataclasses.asdict(c) for c in report.info],
+    }
+    rows = [
+        [c.name, kind, c.passed, c.detail]
+        for kind, group in (("gate", report.checks), ("info", report.info))
+        for c in group
+    ]
+    tables = {"validate": (["name", "kind", "passed", "detail"], rows)}
+    return _emit(args, "validate", doc, tables, report.lines(), report.passed)
 
 
 def cmd_table1(args) -> int:
@@ -184,15 +204,14 @@ def cmd_table1(args) -> int:
     rows_raw.append((None, _rate_gap(agg_inf), _mpr_gap(agg_inf)))
 
     header = ["investors", "rate_gap", "mpr_gap"]
-    console = args.out is None and args.format == "csv"
     rows = [
-        [("∞" if console else "inf") if n is None else str(n), _fmt4(rg), _fmt4(mg)]
+        [("∞" if args.out is None else "inf") if n is None else str(n), _fmt4(rg), _fmt4(mg)]
         for n, rg, mg in rows_raw
     ]
     payload = [
         {"investors": n, "rate_gap": rg, "mpr_gap": mg} for n, rg, mg in rows_raw
     ]
-    return _emit_table(args, "table1", header, rows, payload)
+    return _emit(args, "table1", {"table1": payload}, {"table1": (header, rows)})
 
 
 def _rate_gap(agg) -> float:
@@ -235,12 +254,12 @@ def cmd_table2(args) -> int:
         payload.append(
             {"w": w, "cells": dict(zip(header[1:], cells))}
         )
-    return _emit_table(args, "table2", header, rows, payload)
+    return _emit(args, "table2", {"table2": payload}, {"table2": (header, rows)})
 
 
 def cmd_curves(args) -> int:
     econ = load_config(args.config)
-    agg = derive_aggregates(econ)
+    agg = require_valid(econ)
     horizon = econ.horizon
     grid = np.linspace(0.0, horizon, args.points)
     ts = term_structure(agg, 0.0, grid)
@@ -250,52 +269,32 @@ def cmd_curves(args) -> int:
     mpr = discrete_mpr(sol, agg, grid, horizon) * np.sqrt(v0)
     mpr_rep = discrete_mpr(sol_rep, agg, grid, horizon) * np.sqrt(v0)
 
-    ts_header = ["maturity", "bond_price", "bond_price_rep"]
+    doc = {
+        "term_structure": {
+            "maturity": grid.tolist(),
+            "bond_price": ts.incomplete.tolist(),
+            "bond_price_rep": ts.complete.tolist(),
+        },
+        "mpr_curve": {
+            "time": grid.tolist(),
+            "instantaneous": float(inst),
+            "window": mpr.tolist(),
+            "window_rep": mpr_rep.tolist(),
+        },
+    }
     ts_rows = [
         [f"{u:.6f}", f"{b:.10f}", f"{br:.10f}"]
         for u, b, br in zip(grid, ts.incomplete, ts.complete)
     ]
-    mpr_header = ["time", "instantaneous", "window", "window_rep", "gap"]
     mpr_rows = [
         [f"{t:.6f}", f"{inst:.10f}", f"{m:.10f}", f"{mr:.10f}", f"{m - mr:.10f}"]
         for t, m, mr in zip(grid, mpr, mpr_rep)
     ]
-
-    if args.out is None:
-        if args.format == "json":
-            doc = {
-                "manifest": dataclasses.asdict(_manifest(args, ())),
-                "term_structure": {
-                    "maturity": grid.tolist(),
-                    "bond_price": ts.incomplete.tolist(),
-                    "bond_price_rep": ts.complete.tolist(),
-                },
-                "mpr_curve": {
-                    "time": grid.tolist(),
-                    "instantaneous": float(inst),
-                    "window": mpr.tolist(),
-                    "window_rep": mpr_rep.tolist(),
-                },
-            }
-            print(json.dumps(doc, indent=2))
-        else:
-            _print_aligned(ts_header, ts_rows)
-            print()
-            _print_aligned(mpr_header, mpr_rows)
-        return 0
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ts_path = out_dir / "term_structure.csv"
-    mpr_path = out_dir / "mpr_curve.csv"
-    _write_rows(ts_path, ts_header, ts_rows)
-    _write_rows(mpr_path, mpr_header, mpr_rows)
-    manifest = _manifest(args, (str(ts_path), str(mpr_path)))
-    (out_dir / "curves_manifest.json").write_text(
-        json.dumps(dataclasses.asdict(manifest), indent=2) + "\n"
-    )
-    print(f"wrote {ts_path}")
-    print(f"wrote {mpr_path}")
-    return 0
+    tables = {
+        "term_structure": (["maturity", "bond_price", "bond_price_rep"], ts_rows),
+        "mpr_curve": (["time", "instantaneous", "window", "window_rep", "gap"], mpr_rows),
+    }
+    return _emit(args, "curves", doc, tables)
 
 
 @dataclass(frozen=True)
@@ -322,6 +321,12 @@ def _z_check(name: str, est, target: float, elapsed: float) -> CheckLine:
     )
 
 
+def _bound_check(name: str, value: float, threshold: float, elapsed: float) -> CheckLine:
+    return CheckLine(
+        name=name, value=value, threshold=threshold, passed=value <= threshold, elapsed=elapsed
+    )
+
+
 def _timed(fn, *args, **kwargs):
     """Result of one library call and its wall time in seconds."""
     t0 = time.perf_counter()
@@ -339,7 +344,7 @@ def _verify_suite(econ: EconomyParams, suite: str, seed: int, n_paths: int) -> l
     """
     from . import dynamics as dyn
 
-    agg = derive_aggregates(econ)
+    agg = require_valid(econ)
     sol, _ = solve_pair(agg)
     horizon, v0 = econ.horizon, econ.vol.v0
 
@@ -400,30 +405,14 @@ def _verify_suite(econ: EconomyParams, suite: str, seed: int, n_paths: int) -> l
         checks.append(_z_check("annuity_vs_closed", est, closed, elapsed))
     if want("clearing"):
         rep, elapsed = done["clearing"]
-        checks.append(
-            CheckLine(
-                name="clearing_max_residual",
-                value=rep.max_residual,
-                threshold=1e-10,
-                passed=rep.max_residual <= 1e-10,
-                elapsed=elapsed,
-            )
-        )
+        checks.append(_bound_check("clearing_max_residual", rep.max_residual, 1e-10, elapsed))
     if want("forward"):
         for security in ("bond", "annuity"):
             est, elapsed = done[f"forward_{security}"]
             checks.append(_z_check(f"forward_measure_{security}", est, 0.0, elapsed))
     if want("foc"):
         rep, elapsed = done["foc"]
-        checks.append(
-            CheckLine(
-                name="foc_max_residual",
-                value=rep.max_insured,
-                threshold=rep.dt,
-                passed=rep.max_insured <= rep.dt,
-                elapsed=elapsed,
-            )
-        )
+        checks.append(_bound_check("foc_max_residual", rep.max_insured, rep.dt, elapsed))
     if want("martingale"):
         ests, elapsed = done["martingale"]
         for label, est in ests:
@@ -435,15 +424,7 @@ def _verify_suite(econ: EconomyParams, suite: str, seed: int, n_paths: int) -> l
     if want("multipliers"):
         ms, elapsed = done["multipliers"]
         total = float(abs(np.sum(ms.c0)))
-        checks.append(
-            CheckLine(
-                name="multiplier_sum_is_zero",
-                value=total,
-                threshold=1e-12,
-                passed=total <= 1e-12,
-                elapsed=elapsed,
-            )
-        )
+        checks.append(_bound_check("multiplier_sum_is_zero", total, 1e-12, elapsed))
         checks.append(
             _z_check("multiplier_annuity_cross_check", ms.annuity_mc, ms.annuity_closed, elapsed)
         )
@@ -452,68 +433,52 @@ def _verify_suite(econ: EconomyParams, suite: str, seed: int, n_paths: int) -> l
     return checks
 
 
-def _emit_checks(args, name: str, checks: list[CheckLine]) -> int:
+def _check_result(name: str, checks: list[CheckLine]):
+    """``_emit``'s arguments after ``args`` for a list of checks."""
     ok = all(c.passed for c in checks)
-    if args.format == "json" or args.out is not None:
-        doc = {
-            "manifest": dataclasses.asdict(_manifest(args, ())),
-            "passed": ok,
-            "checks": [dataclasses.asdict(c) for c in checks],
-        }
-        text = json.dumps(doc, indent=2)
-        if args.out is not None:
-            out_dir = Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / f"{name}.json").write_text(text + "\n")
-            print(f"wrote {out_dir / f'{name}.json'}")
-        else:
-            print(text)
-    else:
-        for c in checks:
-            se = "" if c.standard_error is None else f"  se={c.standard_error:.3e}"
-            print(
-                f"[{'pass' if c.passed else 'FAIL'}] {c.name}: "
-                f"value={c.value:.6g} threshold={c.threshold:.6g}{se}  [{c.elapsed:.2f}s]"
-            )
-        print("all checks passed" if ok else "SOME CHECKS FAILED")
-    return 0 if ok else 1
+    lines = []
+    for c in checks:
+        se = "" if c.standard_error is None else f"  se={c.standard_error:.3e}"
+        lines.append(
+            f"[{'pass' if c.passed else 'FAIL'}] {c.name}: "
+            f"value={c.value:.6g} threshold={c.threshold:.6g}{se}  [{c.elapsed:.2f}s]"
+        )
+    lines.append("all checks passed" if ok else "SOME CHECKS FAILED")
+    doc = {"passed": ok, "checks": [dataclasses.asdict(c) for c in checks]}
+    header = [f.name for f in dataclasses.fields(CheckLine)]
+    tables = {name: (header, [dataclasses.astuple(c) for c in checks])}
+    return name, doc, tables, lines, ok
 
 
 def cmd_verify(args) -> int:
     econ = load_config(args.config)
     checks = _verify_suite(econ, args.suite, args.seed, args.n_paths)
-    return _emit_checks(args, "verify", checks)
+    return _emit(args, *_check_result("verify", checks))
 
 
 def cmd_terminal(args) -> int:
     econ = load_config(args.config)
-    agg = derive_aggregates(econ)
+    agg = require_valid(econ)
     eq_term = terminal_equilibrium(agg, econ.horizon)
     sol = eq_term.riccati
 
-    checks: list[CheckLine] = []
     t0 = time.perf_counter()
     start_gap = abs(
         terminal_mpr(sol, agg, 0.0, econ.horizon) - discrete_mpr(sol, agg, 0.0, econ.horizon)
     )
-    checks.append(
-        CheckLine(
-            name="schedule_start_matches_window_coefficient",
-            value=start_gap,
-            threshold=0.0,
-            passed=start_gap == 0.0,
-            elapsed=time.perf_counter() - t0,
+    checks = [
+        _bound_check(
+            "schedule_start_matches_window_coefficient",
+            start_gap,
+            0.0,
+            time.perf_counter() - t0,
         )
-    )
+    ]
     t0 = time.perf_counter()
     end_gap = abs(eq_term.price_of_risk(econ.horizon) - agg.mpr_loading)
     checks.append(
-        CheckLine(
-            name="schedule_end_matches_instantaneous",
-            value=end_gap,
-            threshold=0.0,
-            passed=end_gap == 0.0,
-            elapsed=time.perf_counter() - t0,
+        _bound_check(
+            "schedule_end_matches_instantaneous", end_gap, 0.0, time.perf_counter() - t0
         )
     )
     rep, elapsed = _timed(
@@ -521,25 +486,9 @@ def cmd_terminal(args) -> int:
         econ,
         SimConfig(n_paths=args.n_paths, seed=args.seed, antithetic=False),
     )
-    checks.append(
-        CheckLine(
-            name="terminal_clearing_residual",
-            value=rep.max_residual,
-            threshold=rep.dt,
-            passed=rep.max_residual <= rep.dt,
-            elapsed=elapsed / 2,
-        )
-    )
-    checks.append(
-        CheckLine(
-            name="aggregate_wealth_loading",
-            value=rep.loading_gap,
-            threshold=1e-10,
-            passed=rep.loading_gap <= 1e-10,
-            elapsed=elapsed / 2,
-        )
-    )
-    return _emit_checks(args, "terminal", checks)
+    checks.append(_bound_check("terminal_clearing_residual", rep.max_residual, rep.dt, elapsed / 2))
+    checks.append(_bound_check("aggregate_wealth_loading", rep.loading_gap, 1e-10, elapsed / 2))
+    return _emit(args, *_check_result("terminal", checks))
 
 
 # ---------------------------------------------------------------------------

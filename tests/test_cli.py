@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,97 @@ EXPLODING = """
   "replicate": 2
 }
 """
+
+
+# never explodes, but the exponents underflow to (nan, -inf) at the horizon;
+# validate's detail for it contains commas
+UNREPRESENTABLE = """
+{
+  "vol": {"mu_v": 0.05, "kappa_v": 1.0, "sigma_v": 0.3, "v0": 1.0},
+  "horizon_T": 1400.0,
+  "investors": [{"tau": 0.5}, {"tau": 1.0}]
+}
+"""
+
+NOT_COMPUTABLE = "cannot compute: economy fails validation checks: exponents_finite_on_horizon\n"
+
+SMALL = {"verify": ["--suite", "clearing", "--n-paths", "300"], "terminal": ["--n-paths", "300"]}
+
+
+class TestOutputRule:
+    """Every command obeys the one output rule for each format and target."""
+
+    @pytest.mark.parametrize("to_dir", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        ("command", "economy", "code"),
+        [
+            ("validate", None, 0),
+            ("validate", UNREPRESENTABLE, 1),
+            ("table1", None, 0),
+            ("table2", None, 0),
+            ("curves", None, 0),
+            ("verify", None, 0),
+            ("terminal", None, 0),
+        ],
+        ids=["validate", "validate_failing", "table1", "table2", "curves", "verify", "terminal"],
+    )
+    def test_matrix(self, tmp_path, capsys, command, economy, code, fmt, to_dir):
+        cfg = CONFIG
+        if economy is not None:
+            cfg = tmp_path / "economy.json"
+            cfg.write_text(economy)
+        out_dir = tmp_path / "out"
+        argv = [command, str(cfg), "--format", fmt, *SMALL.get(command, [])]
+        assert main(argv + (["--out", str(out_dir)] if to_dir else [])) == code
+        stdout = capsys.readouterr().out
+        if not to_dir:
+            assert not out_dir.exists()
+            if fmt == "json":
+                assert json.loads(stdout)["manifest"]["outputs"] == []
+            return
+        manifest = json.loads((out_dir / f"{command}_manifest.json").read_text())
+        outputs = [Path(o) for o in manifest["outputs"]]
+        assert manifest["command"] == command
+        assert stdout == "".join(f"wrote {o}\n" for o in outputs)
+        assert sorted(out_dir.iterdir()) == sorted([*outputs, out_dir / f"{command}_manifest.json"])
+        assert {o.suffix for o in outputs} == {f".{fmt}"}
+        for path in outputs:
+            if fmt == "json":
+                assert "manifest" not in json.loads(path.read_text())
+                continue
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert len(rows) > 1
+            assert len({len(r) for r in rows}) == 1
+
+    def test_validate_details_with_commas_stay_one_cell(self, tmp_path):
+        cfg = tmp_path / "economy.json"
+        cfg.write_text(UNREPRESENTABLE)
+        assert main(["validate", str(cfg), "--out", str(tmp_path)]) == 1
+        with open(tmp_path / "validate.csv", newline="") as fh:
+            rows = {r["name"]: r for r in csv.DictReader(fh)}
+        finite = rows["exponents_finite_on_horizon"]
+        assert (finite["kind"], finite["passed"]) == ("gate", "False")
+        assert finite["detail"] == (
+            "exponents not representable at the horizon: (b, a) = (nan, -inf), (nan, -inf)"
+        )
+        assert rows["rate_bounded_below"]["kind"] == "info"
+
+    def test_check_table_matches_json(self, tmp_path):
+        common = [CONFIG, "--n-paths", "300"]
+        assert main(["terminal", *common, "--out", str(tmp_path / "csv")]) == 0
+        assert main(["terminal", *common, "--format", "json", "--out", str(tmp_path / "json")]) == 0
+        with open(tmp_path / "csv" / "terminal.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        doc = json.loads((tmp_path / "json" / "terminal.json").read_text())
+        assert doc["passed"] is True
+        assert [r["name"] for r in rows] == [c["name"] for c in doc["checks"]]
+        for row, check in zip(rows, doc["checks"]):
+            assert float(row["value"]) == check["value"]
+            assert float(row["threshold"]) == check["threshold"]
+            assert row["passed"] == str(check["passed"])
+            assert row["standard_error"] == ""
 
 
 class TestTables:
@@ -215,11 +307,24 @@ class TestExitCodes:
         assert main(["validate", str(cfg)]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] exponents_finite_on_horizon: slope exponent explodes at s = 1.888" in out
-        for command in ("curves", "table1"):
-            assert main([command, str(cfg)]) == 3
-            err = capsys.readouterr().err
-            assert err.startswith("cannot compute: slope exponent explodes")
-            assert err.count("\n") == 1
+        assert main(["table1", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("cannot compute: slope exponent explodes")
+        assert err.count("\n") == 1
+        assert main(["curves", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err == NOT_COMPUTABLE
+
+    @pytest.mark.parametrize("command", ["curves", "terminal"])
+    def test_validation_precedes_closed_form(self, tmp_path, capsys, command):
+        cfg = tmp_path / "unrepresentable.json"
+        cfg.write_text(UNREPRESENTABLE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, str(cfg), *SMALL.get(command, [])]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == NOT_COMPUTABLE
 
 
 def draw_config(seed: int, zero_income_risk: bool) -> dict:
