@@ -64,7 +64,6 @@ from .model import (
     GroupSpec,
     InvalidEconomyError,
     TwoGroupLimit,
-    derive_aggregates,
     limit_aggregates,
     replicate_investor,
     require_valid,
@@ -189,7 +188,7 @@ def cmd_table1(args) -> int:
     vol, horizon = econ.vol, econ.horizon
     rows_raw: list[tuple[object, float, float]] = []
     for n in TABLE1_COUNTS:
-        agg = derive_aggregates(
+        agg = require_valid(
             EconomyParams(vol=vol, horizon=horizon, investors=replicate_investor(template, n))
         )
         rows_raw.append((n, _rate_gap(agg), _mpr_gap(agg)))

@@ -34,28 +34,28 @@ stream spawned from the run seed, so estimates do not depend on how the
 chunks are scheduled and any chunk can be regenerated in isolation.  Every
 random block is drawn once, and only when a functional reads it.
 
-Estimators and the pathwise checks walk each chunk once (``_Chunk.walk``):
-the state advances a step at a time, and the integrals they share,
-``int v dt``, ``int sqrt(v) dW`` and the trapezoid ``int r dt``, run as one
-value per path.  ``_run``, the one chunk loop, feeds each consumer an update
-at every grid point and takes its per-path rows at the horizon (means for
-estimators, maxima for the clearing and first-order-condition residuals),
-so none holds a (paths, steps + 1) array and plans on one stream share one
-walk; the first-order-condition consumer draws its investor's ``dZ`` block
-once per chunk.  Only :func:`simulate` stores full paths, in a
-``PathBundle``, for the budget check.
+Every check walks each chunk once (``_Chunk.walk``): the state advances a
+step at a time, and the integrals the checks share, ``int v dt``,
+``int sqrt(v) dW`` and the trapezoid ``int r dt``, run as one value per path.
+``_run``, the one chunk loop, feeds each consumer an update at every grid
+point and takes its per-path rows at the horizon (means for estimators,
+maxima for the clearing and first-order-condition residuals), so none holds
+a (paths, steps + 1) array and plans on one stream share one walk; the
+first-order-condition consumer draws its investor's ``dZ`` block once per
+chunk.  :func:`simulate` and ``PathBundle`` store full paths only as the
+Euler reference the walked forms are tested against.
 
-Per-investor functionals are affine in ``t``, ``int v dt`` and
-``int sqrt(v) dW``, which all investors share, plus ``int sqrt(v) dZ_i``
-for a belief density.  So the budget integral of consumption
-``C_i(t_k) = a_i t_k + b_i int_0^{t_k} v dt + d_i int_0^{t_k} sqrt(v) dW``
-takes the forward form of summation by parts, for trapezoid weights ``w``:
+Every investor's consumption and insured income are affine in
+``(1, t, int v dt, int sqrt(v) dW)``, the walk's ``_Chunk.basis()``, which
+all investors share; :func:`_affine_coeffs` builds the coefficients once, and
+every per-investor path is one product with the basis.  Raw income adds
+``beta_Y**2 / (2 tau) int v dt + beta_Y int sqrt(v) dZ_i``.  So the budget
+integral of consumption ``C_i(t_k) = c_i . basis_k`` takes the forward form
+of summation by parts, for trapezoid weights ``w``:
 
-    sum_k w_k xi_k C_i(t_k) = a_i sum_k w_k xi_k t_k
-                              + b_i sum_k w_k xi_k int_0^{t_k} v dt
-                              + d_i sum_k w_k xi_k int_0^{t_k} sqrt(v) dW,
+    sum_k w_k xi_k C_i(t_k) = c_i . sum_k w_k xi_k basis_k,
 
-three running sums shared by every investor.  The martingale check samples
+four running sums shared by every investor.  The martingale check samples
 each belief density at the horizon conditionally (Glasserman, Monte Carlo
 Methods in Financial Engineering, section 4.5): ``dZ`` is independent of
 ``v`` and ``dW``, so given the paths the discrete ``sum_k sqrt(v_k) dZ_i,k``
@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -220,20 +219,16 @@ class _SimContext:
 class PathBundle:
     """Full jointly simulated paths plus lazily derived processes.
 
-    Only :func:`simulate` builds one, for the budget check; every other check
-    walks its chunks and never holds full paths.  ``v`` has shape
-    (paths, steps + 1); increment arrays have shape (paths, steps).  ``dW``
-    holds increments of the Brownian motion of the simulation measure and is
-    ``None`` under the exact scheme.  The idiosyncratic increments ``dZ``
-    come from a dedicated stream, drawn one investor block at a time and in
-    investor order, so a per-investor functional holds one block instead of
-    all investors'.  The ``dZ`` property draws the whole (investors, paths,
-    steps) block from the same stream; its slices equal the streamed blocks
-    bit for bit.  Only ``income_paths`` and ``log_belief_density`` read ``dZ``.
+    The Euler reference for the walked checks: :func:`simulate` builds one,
+    and no check does.  ``v`` has shape (paths, steps + 1); increment arrays
+    have shape (paths, steps).  ``dW`` holds increments of the Brownian
+    motion of the simulation measure and is ``None`` under the exact
+    scheme.  The ``dZ`` property draws the idiosyncratic increments of every
+    investor, (investors, paths, steps), from the chunk's dedicated stream
+    on first use; ``income_paths`` and ``log_belief_density`` read it.
     """
 
     def __init__(self, ctx: _SimContext, v, dW, z_seed, antithetic_pairs: bool):
-        self._ctx = ctx  # the settings the paths were drawn under
         self.econ = ctx.econ
         self.agg = ctx.agg
         self.measure = ctx.sim.measure
@@ -244,9 +239,6 @@ class PathBundle:
         self.antithetic_pairs = antithetic_pairs
         self._z_seed = z_seed
         self._dZ: NDArray[np.float64] | None = None
-        self._z_gen = None  # stream position: the generator after block _z_index
-        self._z_index = -1
-        self._z_block: NDArray[np.float64] | None = None
 
     @property
     def n_paths(self) -> int:
@@ -262,26 +254,6 @@ class PathBundle:
             shape = (self.econ.n_investors, self.n_paths, self.n_steps)
             self._dZ = _draw_increments(_philox(self._z_seed), np.empty(shape), self.dt)
         return self._dZ
-
-    def _dz_block(self, i: int) -> NDArray[np.float64]:
-        """Investor i's idiosyncratic increments, streamed from ``dZ``'s stream.
-
-        Blocks are drawn forward in investor order into the one buffer the
-        bundle keeps, so a returned block stays valid until another investor
-        is requested; asking for an earlier investor replays the stream from
-        the start.  A bundle whose full ``dZ`` is already set reads it instead.
-        """
-        if self._dZ is not None:
-            return self._dZ[i]
-        i = range(self.econ.n_investors)[i]
-        if i < self._z_index or self._z_gen is None:
-            self._z_gen, self._z_index = _philox(self._z_seed), -1
-        if self._z_block is None:
-            self._z_block = np.empty((self.n_paths, self.n_steps))
-        while self._z_index < i:
-            _draw_increments(self._z_gen, self._z_block, self.dt)
-            self._z_index += 1
-        return self._z_block
 
     # -- running integrals (cumulative, shape (paths, steps + 1)) -------
 
@@ -324,7 +296,7 @@ class PathBundle:
             raise ValueError("belief densities are defined on P paths")
         inv = self.econ.investors[i]
         ratio = inv.beta_Y / inv.tau
-        cum = self._path(np.sqrt(self.v[:, :-1]) * self._dz_block(i))
+        cum = self._path(np.sqrt(self.v[:, :-1]) * self.dZ[i])
         return -ratio * cum - 0.5 * ratio**2 * self.int_v()
 
     # -- income and consumption ----------------------------------------
@@ -346,7 +318,7 @@ class PathBundle:
         :meth:`insured_income`.
         """
         inv = self.econ.investors[i]
-        Y = self._path(_income_step(inv, *self._steps(), self._dz_block(i)), inv.Y0)
+        Y = self._path(_income_step(inv, *self._steps(), self.dZ[i]), inv.Y0)
         return Y, self.insured_income(i)
 
     def consumption_cum(self, i: int) -> NDArray[np.float64]:
@@ -356,7 +328,8 @@ class PathBundle:
 
 
 def _consumption_step(k, vp, root, dw, dt):
-    """Elementwise optimal-consumption increments for ``ConsumptionCoeffs`` ``k``."""
+    """Elementwise optimal-consumption increments for ``ConsumptionCoeffs`` ``k``;
+    with :func:`_income_step`, the Euler reference for :func:`_affine_coeffs`."""
     return (k.drift_const + k.drift_v * vp) * dt + k.diffusion * root * dw
 
 
@@ -368,6 +341,23 @@ def _income_step(inv, vp, root, dw, dt, dz=None):
         comp = 0.5 * inv.beta_Y**2 / inv.tau
         return (inv.mu_Y + (inv.kappa_Y - comp) * vp) * dt + root * (inv.sigma_Y * dw)
     return (inv.mu_Y + inv.kappa_Y * vp) * dt + root * (inv.sigma_Y * dw + inv.beta_Y * dz)
+
+
+def _affine_coeffs(agg: AggregateParams, investors) -> NDArray[np.float64]:
+    """Every investor's consumption and insured income as affine maps of the
+    walk's basis ``(1, t, int v dt, int sqrt(v) dW)``: shape (2, investors, 4).
+
+    Row 0 of investor i is cumulative consumption from a zero initial level,
+    the sum of :func:`_consumption_step`; row 1 is insured income from
+    ``Y0``, the sum of :func:`_income_step` without ``dz``.  Each equals its
+    Euler path up to the reassociation of sums.
+    """
+    out = np.empty((2, len(investors), 4))
+    for i, inv in enumerate(investors):
+        k = optimal_consumption_coeffs(agg, inv)
+        out[0, i] = 0.0, k.drift_const, k.drift_v, k.diffusion
+        out[1, i] = inv.Y0, inv.mu_Y, inv.kappa_Y - 0.5 * inv.beta_Y**2 / inv.tau, inv.sigma_Y
+    return out
 
 
 def _philox(seed) -> np.random.Generator:
@@ -414,7 +404,10 @@ class _Chunk:
     ``v dt`` and ``sqrt(v) dW`` and the trapezoid integral of the spot rate to
     ``t_k``, per path, each equal bit for bit to the ``PathBundle`` column;
     ``vp``, ``root`` and ``dw`` are the last step's clipped left state, its
-    square root and its increment.
+    square root and its increment.  With increments, :meth:`basis` gives
+    ``(1, t_k, int_v, int_sqrt_v_dW)`` as one (4, paths) array, whose last
+    two rows are those integrals; :func:`_affine_coeffs` maps it to every
+    investor's paths.
     """
 
     def __init__(self, ctx: _SimContext, m: int, dW=None, seeds=(None, None, None),
@@ -433,6 +426,12 @@ class _Chunk:
         mpr = self.ctx.agg.mpr_loading
         return -self.int_r + (-mpr * self.int_sqrt_v_dW - 0.5 * mpr**2 * self.int_v)
 
+    def basis(self) -> NDArray[np.float64]:
+        """The rows ``(1, t_k, int_v, int_sqrt_v_dW)`` at the current grid point
+        t_k, live until the walk moves on; the time row is filled on request."""
+        self._basis[1] = self.times[self.k]
+        return self._basis
+
     def _belief_normals(self) -> NDArray[np.float64]:
         """One standard normal per investor and path, the same on every call;
         times ``sqrt(int v dt)``, row i has the law of ``int sqrt(v) dZ_i``."""
@@ -444,10 +443,15 @@ class _Chunk:
         ctx, vol, dt = self.ctx, self.ctx.econ.vol, self.dt
         intercept, slope = ctx.agg.rate_intercept, ctx.rate_slope
         x = self.v = self._v0  # x is the raw Euler state
+        self.k = 0
         if sums:
-            self.int_v, self.int_r = np.zeros(self.m), np.zeros(self.m)
-            if self.draw is not None:
-                self.int_sqrt_v_dW = np.zeros(self.m)
+            self.int_r = np.zeros(self.m)
+            if self.draw is None:
+                self.int_v = np.zeros(self.m)
+            else:
+                self._basis = np.zeros((4, self.m))
+                self._basis[0] = 1.0
+                self.int_v, self.int_sqrt_v_dW = self._basis[2], self._basis[3]
             r = intercept + slope * self.v
         yield
         if self.draw is None:  # exact transition law: a scaled noncentral chi-square
@@ -472,6 +476,7 @@ class _Chunk:
                 r_next = intercept + slope * self.v
                 self.int_r += 0.5 * (r + r_next) * dt
                 r = r_next
+            self.k = k + 1
             yield
 
 
@@ -534,9 +539,9 @@ def simulate(
 ) -> PathBundle:
     """Simulate one bundle of full paths over ``[0, horizon]``.
 
-    Materializes everything in a single chunk, so it is meant for the
-    budget check at moderate path counts; every other check below walks
-    chunks instead and never holds full paths.
+    Materializes everything in a single chunk: the Euler reference at
+    moderate path counts.  The checks below walk chunks instead and never
+    hold full paths.
     """
     return _bundle(_one_chunk(econ, sim, horizon))
 
@@ -870,16 +875,13 @@ def verify_clearing(econ: EconomyParams, sim: SimConfig) -> ClearingReport:
 
 
 def _clearing_rows(chunk: _Chunk):
-    """Consumer: per path, the largest |summed consumption increments to t_k|; each
-    investor's increments run in a sum of their own, added in investor order."""
+    """Consumer: per path, the largest |summed consumption increments to t_k|;
+    every investor's consumption is one row of a product with the basis."""
     _need_dw(chunk.draw)
-    coeffs = [optimal_consumption_coeffs(chunk.ctx.agg, inv) for inv in chunk.ctx.econ.investors]
-    cum, peak = np.zeros((len(coeffs), chunk.m)), np.zeros(chunk.m)
+    coeffs, peak = _affine_coeffs(chunk.ctx.agg, chunk.ctx.econ.investors)[0], np.zeros(chunk.m)
     for _ in range(chunk.n_steps):
         yield
-        for row, k in zip(cum, coeffs):
-            row += _consumption_step(k, chunk.vp, chunk.root, chunk.dw, chunk.dt)
-        np.maximum(peak, np.abs(reduce(np.add, cum)), out=peak)
+        np.maximum(peak, np.abs((coeffs @ chunk.basis()).sum(axis=0)), out=peak)
     yield peak
 
 
@@ -911,7 +913,7 @@ def solve_multipliers(econ: EconomyParams, sim: SimConfig) -> MultiplierSolution
     Consumption is initial level plus a level-independent increment
     process, so the budget constraint is affine in the initial level:
     ``c0 = (X0 - E[int xi * cum-increments dt]) / E[int xi dt]``.  Both
-    expectations are estimated on shared paths; the numerator combines three
+    expectations are estimated on shared paths; the numerator combines four
     per-path sums every investor shares (summation by parts, see the module
     docstring), and the denominator doubles as a Monte Carlo annuity check.
     """
@@ -919,21 +921,22 @@ def solve_multipliers(econ: EconomyParams, sim: SimConfig) -> MultiplierSolution
 
 
 def _deflated_sums(chunk: _Chunk):
-    """Consumer: the deflated annuity and the three sums every investor's
-    deflated consumption combines (summation by parts, module docstring)."""
+    """Consumer: the basis deflated and integrated by the trapezoid rule,
+    ``sum_k w_k xi_k basis_k``; row 0 is the deflated annuity, and every
+    investor's deflated consumption is one product with it (summation by
+    parts, module docstring).  Yields its live running sums at every t_k."""
     _need_dw(chunk.draw)
     sums = np.zeros((4, chunk.m))
     for k in range(chunk.n_steps + 1):
         # the state-price density at t_k, times its trapezoid weight
         xi = np.exp(chunk.log_xi())
         xi *= chunk.dt if 0 < k < chunk.n_steps else 0.5 * chunk.dt
+        # row by row: one (4, paths) product with the basis is slower here
         sums[0] += xi
         sums[1] += xi * chunk.times[k]
         sums[2] += xi * chunk.int_v
         sums[3] += xi * chunk.int_sqrt_v_dW
-        if k < chunk.n_steps:
-            yield
-    yield sums
+        yield sums
 
 
 def _multipliers_plan(econ: EconomyParams, sim: SimConfig) -> _Plan:
@@ -942,10 +945,7 @@ def _multipliers_plan(econ: EconomyParams, sim: SimConfig) -> _Plan:
     def finish(acc: _Moments) -> MultiplierSolution:
         agg = ctx.agg
         x0 = np.array([inv.X0 for inv in econ.investors])
-        coeffs = [optimal_consumption_coeffs(agg, inv) for inv in econ.investors]
-        a, b, d = np.array([(k.drift_const, k.drift_v, k.diffusion) for k in coeffs]).T
-        annuity, timed, v_sum, w_sum = acc.mean
-        c0 = (x0 - (a * timed + b * v_sum + d * w_sum)) / annuity
+        c0 = (x0 - _affine_coeffs(agg, econ.investors)[0] @ acc.mean) / acc.mean[0]
         y0 = np.array([inv.Y0 for inv in econ.investors])
         tau = np.array([inv.tau for inv in econ.investors])
         alpha = np.exp(-(c0 + y0) / tau) / tau
@@ -986,23 +986,31 @@ def _investor(econ: EconomyParams, investor: int) -> int:
     return investor % econ.n_investors
 
 
+def _investor_dz(chunk: _Chunk, i: int) -> NDArray[np.float64]:
+    """Investor i's (paths, steps) ``dZ`` block, ``PathBundle.dZ[i]`` bit for bit:
+    the stream holds the investors' blocks in order, drawn here into one buffer."""
+    gen, dz = _philox(chunk.z_seed), np.empty((chunk.m, chunk.n_steps))
+    for _ in range(i + 1):
+        _draw_increments(gen, dz, chunk.dt)
+    return dz
+
+
 def _foc_rows(chunk: _Chunk, i: int, c0: float, raw: bool = True):
     """Consumer: investor i's first-order-condition residuals along the walk.
 
-    Consumption, both incomes and ``int sqrt(v) dZ_i`` run as sums per path,
-    the last from investor i's ``dZ`` block, drawn once per chunk.  With
-    ``raw``, yields per path the largest |r_ins|, |r_raw| and |r_ins - r_raw|
-    over t_0, ..., t_K; without, |r_ins| at t_K alone and no ``dZ``.
+    Consumption and insured income are one product with the basis; raw
+    income adds ``beta_Y**2 / (2 tau) int v dt + beta_Y int sqrt(v) dZ_i``,
+    whose last term runs as a sum per path over investor i's ``dZ`` block,
+    drawn once per chunk.  With ``raw``, yields per path the largest
+    |r_ins|, |r_raw| and |r_ins - r_raw| over t_0, ..., t_K; without,
+    |r_ins| at t_K alone and no ``dZ``.
     """
     _need_dw(chunk.draw)
-    inv, agg, dt = chunk.ctx.econ.investors[i], chunk.ctx.agg, chunk.dt
-    coeffs, ratio = optimal_consumption_coeffs(agg, inv), inv.beta_Y / inv.tau
+    inv = chunk.ctx.econ.investors[i]
+    coeffs, ratio = _affine_coeffs(chunk.ctx.agg, [inv])[:, 0], inv.beta_Y / inv.tau
     log_alpha = -(c0 + inv.Y0) / inv.tau - math.log(inv.tau)
     if raw:
-        gen, dz = _philox(chunk.z_seed), np.empty((chunk.m, chunk.n_steps))
-        for _ in range(i + 1):  # the stream holds the investors' blocks in order
-            _draw_increments(gen, dz, dt)
-    c_cum, y_ins, y_raw, z_cum = (np.zeros(chunk.m) for _ in range(4))
+        dz, z_cum = _investor_dz(chunk, i), np.zeros(chunk.m)
     peak = np.zeros((3, chunk.m))
 
     def residual(c_path, income, log_xi, log_belief=0.0):
@@ -1010,20 +1018,16 @@ def _foc_rows(chunk: _Chunk, i: int, c0: float, raw: bool = True):
         return -math.log(inv.tau) - (c_path + income) / inv.tau - (log_alpha + log_belief + log_xi)
 
     for k in range(chunk.n_steps + 1):
-        if k:
-            step = (chunk.vp, chunk.root, chunk.dw, dt)
-            c_cum += _consumption_step(coeffs, *step)
-            y_ins += _income_step(inv, *step)
-            if raw:
-                dz_k = np.ascontiguousarray(dz[:, k - 1])
-                y_raw += _income_step(inv, *step, dz_k)
-                z_cum += chunk.root * dz_k
+        if raw and k:
+            z_cum += chunk.root * dz[:, k - 1]
         if raw or k == chunk.n_steps:
+            c_cum, y_ins = coeffs @ chunk.basis()
             c_path, log_xi = c0 + c_cum, chunk.log_xi()
-            r_ins = residual(c_path, y_ins + inv.Y0, log_xi)
+            r_ins = residual(c_path, y_ins, log_xi)
         if raw:
+            y_raw = y_ins + 0.5 * ratio * inv.beta_Y * chunk.int_v + inv.beta_Y * z_cum
             log_belief = -ratio * z_cum - 0.5 * ratio**2 * chunk.int_v
-            r_raw = residual(c_path, y_raw + inv.Y0, log_xi, log_belief)
+            r_raw = residual(c_path, y_raw, log_xi, log_belief)
             np.maximum(peak, np.abs([r_ins, r_raw, r_ins - r_raw]), out=peak)
         if k < chunk.n_steps:
             yield
@@ -1227,41 +1231,48 @@ def verify_budget_martingale(
     started from every outer path's state, then checks that deflated wealth
     plus cumulative deflated consumption has a constant expectation.  The
     time-zero reconstruction should also match the investor's initial
-    wealth when ``c0`` comes from :func:`solve_multipliers`.  Quadratic
-    cost in paths; defaults are sized for a smoke test, not for precision.
+    wealth when ``c0`` comes from :func:`solve_multipliers`.  The outer
+    paths are walked once: at each checkpoint the walk's state, deflator,
+    consumption and trapezoid spend start the nested tails.  Quadratic cost
+    in paths; defaults are sized for a smoke test, not for precision.
     """
     investor = _investor(econ, investor)
+    for t_c in checkpoints:
+        if not 0.0 <= t_c <= econ.horizon:
+            raise ValueError(f"checkpoint {t_c} is outside [0, {econ.horizon}]")
     if c0 is None:
         c0 = float(solve_multipliers(econ, replace(sim, n_paths=4096)).c0[investor])
     base = _require_measure(sim, "P")
-    outer = simulate(econ, base)
-    xi = outer.xi_min()
-    c_cum = outer.consumption_cum(investor)
-
-    root = np.random.SeedSequence(sim.seed + 7_777_777)
+    outer = _one_chunk(econ, base)
+    cons = _affine_coeffs(outer.ctx.agg, [econ.investors[investor]])[0, 0]
+    level = np.concatenate([[c0], cons[1:]])  # consumption c0 + C(t) on the basis
     times = (0.0,) + tuple(checkpoints)
-    values = []
-    ses = []
-    wealth0 = 0.0
-    for idx, t_c in enumerate(times):
-        k_c = int(round(t_c / outer.dt))
-        t_c = outer.times[k_c]
-        a_hat, c_hat = _nested_budget_tail(
-            econ, base, outer.v[:, k_c], econ.horizon - t_c, inner_paths,
-            root.spawn(1)[0], investor,
-        )
-        wealth = (c0 + c_cum[:, k_c]) * a_hat + c_hat
-        if k_c:
-            w = np.full(k_c + 1, outer.dt)
-            w[0] = w[-1] = 0.5 * outer.dt
-            spend = (xi[:, : k_c + 1] * (c0 + c_cum[:, : k_c + 1])) @ w
-        else:
-            spend = np.zeros(outer.n_paths)
-        stat = xi[:, k_c] * wealth + spend
-        values.append(float(stat.mean()))
-        ses.append(float(stat.std(ddof=1) / math.sqrt(stat.size)))
-        if idx == 0:
-            wealth0 = float(wealth.mean())
+    steps = [round(t_c / outer.dt) for t_c in times]
+    seeds = np.random.SeedSequence(sim.seed + 7_777_777).spawn(len(times))
+
+    def checkpoint_rows(ch: _Chunk):
+        # per checkpoint: deflated wealth plus trapezoid spend, and wealth, per path
+        out = [None] * len(times)
+        deflated = _deflated_sums(ch)
+        for k in range(ch.n_steps + 1):
+            running = next(deflated)
+            for idx in (j for j, step in enumerate(steps) if step == k):
+                xi = np.exp(ch.log_xi())
+                a_hat, c_hat = _nested_budget_tail(
+                    econ, base, ch.v, econ.horizon - ch.times[k], inner_paths, seeds[idx], cons
+                )
+                basis = ch.basis()
+                wealth = (level @ basis) * a_hat + c_hat
+                # below the horizon the trapezoid to t_k weighs t_k's term dt / 2 less
+                # than the running sums do (at t_0, not at all)
+                trap = running if k == ch.n_steps else running - (0.5 * ch.dt * xi) * basis
+                out[idx] = xi * wealth + level @ trap, wealth
+            yield out
+
+    rows = _walk_rows(outer, [checkpoint_rows])[0]
+    values = [float(stat.mean()) for stat, _ in rows]
+    ses = [float(stat.std(ddof=1) / math.sqrt(stat.size)) for stat, _ in rows]
+    wealth0 = float(rows[0][1].mean())
     z = [
         abs(v - values[0]) / math.sqrt(s**2 + ses[0] ** 2 + 1e-300)
         for v, s in zip(values[1:], ses[1:])
@@ -1278,7 +1289,7 @@ def verify_budget_martingale(
 
 
 def _nested_budget_tail(
-    econ, sim: SimConfig, v_start, span: float, inner_paths: int, seed, investor: int
+    econ, sim: SimConfig, v_start, span: float, inner_paths: int, seed, cons
 ):
     """Inner expectations E[int xi du] and E[int xi * cum-increments du].
 
@@ -1286,8 +1297,9 @@ def _nested_budget_tail(
     ``inner_paths`` fresh continuations started at its variance level, with
     the deflator restarted at one and the increments drawn a step at a time,
     so no (paths, steps) matrix is ever held.  The integrals are the running
-    sums of the multiplier estimate.  Returns per-outer-path inner means
-    (a_hat, c_hat).
+    sums of the multiplier estimate, and ``cons`` is the investor's
+    consumption row of :func:`_affine_coeffs`.  Returns per-outer-path inner
+    means (a_hat, c_hat).
     """
     m_outer = v_start.shape[0]
     if span <= 0.0:
@@ -1297,7 +1309,5 @@ def _nested_budget_tail(
     gen, m = _philox(seed), m_outer * inner_paths
     chunk = _Chunk(ctx, m, v0=np.repeat(v_start, inner_paths),
                    draw=lambda k: math.sqrt(ctx.dt) * gen.standard_normal(m))
-    annuity, timed, v_sum, w_sum = _walk_rows(chunk, [_deflated_sums])[0]
-    k = optimal_consumption_coeffs(ctx.agg, econ.investors[investor])
-    consumption = k.drift_const * timed + k.drift_v * v_sum + k.diffusion * w_sum
-    return tuple(x.reshape(m_outer, inner_paths).mean(axis=1) for x in (annuity, consumption))
+    sums = _walk_rows(chunk, [_deflated_sums])[0]
+    return tuple(x.reshape(m_outer, inner_paths).mean(axis=1) for x in (sums[0], cons @ sums))

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import SimConfig, _Chunk, _log_exp_martingale, _one_chunk, _walk_rows
+from .dynamics import SimConfig, _affine_coeffs, _Chunk, _log_exp_martingale, _one_chunk, _walk_rows
 from .equilibrium import QUAD_NODES_PER_PANEL, discrete_mpr, quad_nodes
 from .model import AggregateParams, EconomyParams, require_valid
 from .riccati import RiccatiSolution, market_coeffs, solve_closed_form
@@ -149,21 +149,13 @@ def _terminal_paths(
     One walk of the chunk gives both.  The deflator is the left-point
     exponential martingale loading the terminal price of risk on the traded
     shock.  Insured income carries no idiosyncratic term, so nothing here
-    draws idiosyncratic increments.  Its terminal value, the last column of
-    ``PathBundle.insured_income(i)``, is affine in the shared terminal
-    integrals the walk ends with: ``Y0 + mu_Y T + (kappa_Y - beta_Y**2 / (2 tau))
-    int v dt + sigma_Y int sqrt(v) dW``.
+    draws idiosyncratic increments: its terminal value is the insured-income
+    row of ``dynamics._affine_coeffs`` times the basis the walk ends with,
+    ``Y0 + mu_Y T + (kappa_Y - beta_Y**2 / (2 tau)) int v dt + sigma_Y int sqrt(v) dW``.
     """
     coeff = terminal_mpr(sol, agg, chunk.times[:-1], econ.horizon)
     (log_xi,) = _walk_rows(chunk, [lambda ch: _log_exp_martingale(ch, coeff)])
-    income_end = np.empty((econ.n_investors, chunk.m))
-    for i, inv in enumerate(econ.investors):
-        drift_v = inv.kappa_Y - 0.5 * inv.beta_Y**2 / inv.tau
-        income_end[i] = (
-            inv.Y0 + inv.mu_Y * chunk.times[-1] + drift_v * chunk.int_v
-            + inv.sigma_Y * chunk.int_sqrt_v_dW
-        )
-    return log_xi, income_end
+    return log_xi, _affine_coeffs(agg, econ.investors)[1] @ chunk.basis()
 
 
 def _multipliers(econ: EconomyParams, log_xi, income_end) -> TerminalMultipliers:
@@ -184,24 +176,19 @@ def _multipliers(econ: EconomyParams, log_xi, income_end) -> TerminalMultipliers
     )
 
 
-def solve_terminal_multipliers(
-    econ: EconomyParams, sim: SimConfig, bundle=None
-) -> TerminalMultipliers:
+def solve_terminal_multipliers(econ: EconomyParams, sim: SimConfig) -> TerminalMultipliers:
     """Back the multipliers out of the terminal budget constraints.
 
     The budget pins the deflator-weighted expectation of terminal wealth to
     the initial endowment, and terminal wealth is affine in the multiplier's
     log, so each multiplier solves a one-line linear equation in three Monte
-    Carlo moments.  A ``bundle`` from :func:`simulate` lends its increments;
-    otherwise the paths ``sim`` sets are walked afresh.
+    Carlo moments, on one walk of the paths ``sim`` sets.
     """
     agg = require_valid(econ)
     if sim.measure != "P":
         raise ValueError("terminal multipliers are estimated on physical-measure paths")
     sol = solve_closed_form(market_coeffs(agg), econ.horizon)
-    chunk = _one_chunk(econ, sim) if bundle is None else _Chunk(
-        bundle._ctx, bundle.n_paths, bundle.dW)
-    return _multipliers(econ, *_terminal_paths(econ, agg, sol, chunk))
+    return _multipliers(econ, *_terminal_paths(econ, agg, sol, _one_chunk(econ, sim)))
 
 
 def verify_terminal_clearing(

@@ -307,13 +307,24 @@ class TestExitCodes:
         assert main(["validate", str(cfg)]) == 1
         out = capsys.readouterr().out
         assert "[FAIL] exponents_finite_on_horizon: slope exponent explodes at s = 1.888" in out
-        assert main(["table1", str(cfg)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("cannot compute: slope exponent explodes")
-        assert err.count("\n") == 1
-        assert main(["curves", str(cfg)]) == 3
-        err = capsys.readouterr().err
-        assert err == NOT_COMPUTABLE
+        for command in ("table1", "curves"):
+            assert main([command, str(cfg)]) == 3
+            err = capsys.readouterr().err
+            assert err == NOT_COMPUTABLE
+
+    def test_table1_validates_every_replicated_economy(self, tmp_path, capsys):
+        # the horizon underflows the exponents of every replicated economy
+        cfg = tmp_path / "unrepresentable_homogeneous.json"
+        cfg.write_text(json.dumps({
+            "vol": {"mu_v": 0.05, "kappa_v": 1.0, "sigma_v": -0.3, "v0": 1.0},
+            "horizon_T": 1400, "investor": {"tau": 0.5}, "replicate": 2,
+        }))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["table1", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == NOT_COMPUTABLE
 
     @pytest.mark.parametrize("command", ["curves", "terminal"])
     def test_validation_precedes_closed_form(self, tmp_path, capsys, command):

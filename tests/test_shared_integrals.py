@@ -3,10 +3,11 @@
 Every streaming estimator and pathwise check walks each chunk once and keeps
 (paths,) running sums: the shared integrals of ``v dt``, ``sqrt(v) dW`` and
 the spot rate, plus each consumer's own.  These tests hold every walked
-consumer to its explicit full-path form on the same chunk, check that the
-estimators and the clearing and first-order-condition checks never build
-full paths, and hold the terminal check's walked deflator and income to its
-full paths.  The belief densities at the horizon are drawn
+consumer to its explicit full-path form on the same chunk, check that no
+check builds full paths, and hold the terminal check's walked deflator and
+income to its full paths.  Per-investor paths are affine maps of the walk's
+sums, so they meet the Euler reference of ``PathBundle`` up to the
+reassociation of sums.  The belief densities at the horizon are drawn
 conditionally on the variance path, one normal per investor and path;
 they are held to that form exactly and to the full-path sum in law.
 """
@@ -32,6 +33,7 @@ from ivoleq.dynamics import (
     mc_bond_price,
     mc_risk_premium,
     solve_multipliers,
+    verify_budget_martingale,
     verify_clearing,
     verify_foc,
     verify_forward_measure,
@@ -60,9 +62,10 @@ def _close(got, want):
     np.testing.assert_allclose(got, want, rtol=RTOL, atol=ATOL)
 
 
-def _trap_w(bundle) -> np.ndarray:
-    w = np.full(bundle.n_steps + 1, bundle.dt)
-    w[0] = w[-1] = 0.5 * bundle.dt
+def _trap_w(n_steps: int, dt: float) -> np.ndarray:
+    """Trapezoid weights over n_steps steps of length dt."""
+    w = np.full(n_steps + 1, dt)
+    w[0] = w[-1] = 0.5 * dt
     return w
 
 
@@ -126,7 +129,7 @@ class TestRowsMatchFullPaths:
         econ, sim, agg, _ = _case(seed, antithetic, chunk_size)
         for (got,), _, bundle in _walked(dynamics._multipliers_plan(econ, sim)):
             annuity, timed, v_sum, w_sum = got
-            xi, trap_w = bundle.xi_min(), _trap_w(bundle)
+            xi, trap_w = bundle.xi_min(), _trap_w(bundle.n_steps, bundle.dt)
             _close(annuity, xi @ trap_w)
             for i, inv in enumerate(econ.investors):
                 k = optimal_consumption_coeffs(agg, inv)
@@ -142,6 +145,33 @@ class TestRowsMatchFullPaths:
             _close(got, np.exp(-bundle.int_rate(benchmark)[:, -1]))
         for (got,), _, bundle in _walked(dynamics._annuity_plan(econ, sim, benchmark)):
             _close(got, _trapezoid(np.exp(-bundle.int_rate(benchmark)), bundle.dt))
+
+    @given(seed=st.integers(0, 2**31), c0=st.sampled_from([None, 0.3]))
+    @settings(max_examples=10, deadline=None)
+    def test_budget_checkpoints(self, seed, c0):
+        # unsorted and repeated checkpoints, both ends of the horizon
+        econ, sim = heterogeneous_economy(), SimConfig(n_paths=16, steps_per_year=24, seed=seed,
+                                                       antithetic=False)
+        checkpoints, inner = (0.5, 0.0, 1.0, 0.5), 4
+        rep = verify_budget_martingale(econ, sim, investor=1, checkpoints=checkpoints,
+                                       inner_paths=inner, c0=c0)
+        if c0 is None:
+            c0 = float(solve_multipliers(econ, dataclasses.replace(sim, n_paths=4096)).c0[1])
+        bundle = dynamics.simulate(econ, sim)
+        xi, c = bundle.xi_min(), c0 + bundle.consumption_cum(1)
+        cons = dynamics._affine_coeffs(bundle.agg, econ.investors)[0, 1]
+        seeds = np.random.SeedSequence(seed + 7_777_777).spawn(1 + len(checkpoints))
+        for idx, t in enumerate((0.0,) + checkpoints):
+            k = round(t / bundle.dt)
+            a_hat, c_hat = dynamics._nested_budget_tail(
+                econ, sim, bundle.v[:, k], econ.horizon - bundle.times[k], inner, seeds[idx], cons)
+            wealth = c[:, k] * a_hat + c_hat
+            spend = (xi[:, : k + 1] * c[:, : k + 1]) @ _trap_w(k, bundle.dt) if k else 0.0
+            stat = xi[:, k] * wealth + spend
+            _close(rep.values[idx], stat.mean())
+            _close(rep.standard_errors[idx], stat.std(ddof=1) / math.sqrt(stat.size))
+            if idx == 0:
+                _close(rep.wealth_at_zero, wealth.mean())
 
     @given(scheme=st.sampled_from(["euler", "exact"]), **draws)
     @settings(max_examples=10, deadline=None)
@@ -259,8 +289,21 @@ def _pathwise_case(seed, antithetic, chunk_size, n_investors, zero_beta):
     return econ, sim
 
 
+# The walked clearing and first-order-condition rows evaluate each investor's
+# affine map on the walk's sums, while the Euler reference of ``PathBundle``
+# adds the increments a step at a time.  The two differ by the reassociation
+# of sums of O(1) terms over the 24 steps of these cases; ROUNDOFF bounds the
+# absolute difference (the largest seen on 240 drawn cases was 1.5e-15).
+ROUNDOFF = 1e-13
+
+
+def _roundoff_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=ROUNDOFF)
+
+
 class TestPathwiseReports:
-    """The walked clearing and first-order-condition checks against full paths."""
+    """The walked clearing and first-order-condition checks against the
+    Euler reference of full paths, within ROUNDOFF."""
 
     @given(**pathwise)
     @settings(max_examples=20, deadline=None)
@@ -269,12 +312,12 @@ class TestPathwiseReports:
         econ, sim = _pathwise_case(seed, antithetic, chunk_size, n_investors, zero_beta)
         i = n_investors - 1 if last else 0
         for (got,), _, bundle in _walked(dynamics._clearing_plan(econ, sim)):
-            assert np.array_equal(got, _full_clearing(bundle))
+            _roundoff_close(got, _full_clearing(bundle))
         for (got,), chunk, bundle in _walked(dynamics._foc_plan(econ, sim, i, c0)):
             r_ins, r_raw = _full_foc(bundle, i, 0.0 if c0 is None else c0)
-            assert np.array_equal(got, _foc_maxima(r_ins, r_raw))
+            _roundoff_close(got, _foc_maxima(r_ins, r_raw))
             (end,) = dynamics._walk_rows(chunk, [lambda ch: dynamics._foc_rows(ch, i, 0.0, False)])
-            assert np.array_equal(end, np.abs(_full_foc(bundle, i, 0.0, raw=False)[:, -1]))
+            _roundoff_close(end, np.abs(_full_foc(bundle, i, 0.0, raw=False)[:, -1]))
 
     @given(**pathwise)
     @settings(max_examples=20, deadline=None)
@@ -285,13 +328,13 @@ class TestPathwiseReports:
         bundles = [dynamics._bundle(chunk) for chunk in dynamics._iter_chunks(ctx)]
         assert len(bundles) > 1
         rep = verify_clearing(econ, sim)
-        assert rep.max_residual == max(_full_clearing(b).max() for b in bundles)
+        _roundoff_close(rep.max_residual, max(_full_clearing(b).max() for b in bundles))
         assert (rep.n_paths, rep.n_steps) == (40, 24)
         i = n_investors - 1 if last else 0
         foc = verify_foc(econ, sim, investor=-1 if last else 0, c0=c0)
         want = np.max([_foc_maxima(*_full_foc(b, i, 0.0 if c0 is None else c0)).max(axis=-1)
                        for b in bundles], axis=0)
-        assert (foc.max_insured, foc.max_raw, foc.route_split) == tuple(want)
+        _roundoff_close((foc.max_insured, foc.max_raw, foc.route_split), want)
         assert (foc.investor, foc.n_paths, foc.dt) == (i, 40, ctx.dt)
         if zero_beta:
             # without an unspanned loading the two routes are one computation
@@ -313,7 +356,7 @@ class TestPathwiseReports:
                 r_ins = _full_foc(dynamics._bundle(lv), i, 0.0, raw=False)
                 sums[level] += float(np.abs(r_ins[:, -1]).sum())
             n += chunk.m
-        assert rep.residuals == tuple(sums / n)
+        _roundoff_close(rep.residuals, sums / n)
         assert rep.steps_per_year == (6, 12, 24)
 
 
@@ -384,7 +427,7 @@ _SIM = SimConfig(n_paths=64, steps_per_year=24, seed=5, antithetic=False)
     [
         (
             martingale_checks,
-            ("log_belief_density", "log_density_min", "int_v", "int_sqrt_v_dW", "_dz_block", "dZ"),
+            ("log_belief_density", "log_density_min", "int_v", "int_sqrt_v_dW", "dZ"),
         ),
         (solve_multipliers, ("consumption_cum",)),
         (terminal.verify_terminal_clearing, ("insured_income", "income_paths")),
@@ -411,6 +454,7 @@ _WALKED = [
     lambda econ: verify_clearing(econ, _SIM),
     lambda econ: verify_foc(econ, _SIM, investor=1),
     lambda econ: foc_order(econ, _SIM, doublings=2),
+    lambda econ: verify_budget_martingale(econ, _SIM, inner_paths=8),
 ]
 
 
@@ -419,7 +463,7 @@ _WALKED = [
     _WALKED,
     ids=["martingale_checks", "solve_multipliers", "mc_bond_price", "mc_annuity",
          "verify_forward_measure", "mc_risk_premium", "verify_terminal_clearing",
-         "verify_clearing", "verify_foc", "foc_order"],
+         "verify_clearing", "verify_foc", "foc_order", "verify_budget_martingale"],
 )
 def test_walked_estimators_build_no_full_paths(monkeypatch, check):
     for name in ("int_rate", "xi_min", "log_density_min", "int_v", "int_sqrt_v_dW", "__init__"):

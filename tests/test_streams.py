@@ -1,5 +1,6 @@
-"""Random blocks drawn once and only where read: streamed idiosyncratic
-increments, the increment-free terminal check and shared chunk loops."""
+"""Random blocks drawn once and only where read: the idiosyncratic
+increments of the first-order-condition walk, the increment-free terminal
+check and shared chunk loops."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from ivoleq.dynamics import (
     verify_budget_martingale,
     verify_foc,
 )
-from ivoleq.terminal import solve_terminal_multipliers, verify_terminal_clearing
+from ivoleq.terminal import verify_terminal_clearing
 
 
 def _sim(**over) -> SimConfig:
@@ -35,29 +36,12 @@ class TestStreamedIncrements:
         ids=["in_order", "out_of_order", "repeated"],
     )
     def test_blocks_equal_full_draw_bitwise(self, order):
+        # the first-order-condition walk's block of investor i is the reference's dZ[i]
         econ = reference_economy(4)
         full = simulate(econ, _sim()).dZ
-        bundle = simulate(econ, _sim())
+        chunk = dynamics._one_chunk(econ, _sim())
         for i in order:
-            assert np.array_equal(bundle._dz_block(i), full[i])
-        assert bundle._dZ is None
-
-    def test_blocks_reuse_one_buffer(self):
-        econ = reference_economy(3)
-        full = simulate(econ, _sim()).dZ
-        bundle = simulate(econ, _sim())
-        first = bundle._dz_block(0)
-        assert np.array_equal(first, full[0])
-        for i in (1, 2, 0):
-            block = bundle._dz_block(i)
-            assert np.shares_memory(block, first)
-            assert np.array_equal(block, full[i])
-
-    def test_set_full_block_is_read(self):
-        bundle = simulate(reference_economy(3), _sim())
-        bundle._dZ = np.random.default_rng(1).standard_normal((3, bundle.n_paths, bundle.n_steps))
-        for i in (2, 0, 1):
-            assert np.array_equal(bundle._dz_block(i), bundle._dZ[i])
+            assert np.array_equal(dynamics._investor_dz(chunk, i), full[i])
 
     def test_functionals_agree_with_the_full_draw(self):
         econ = heterogeneous_economy()
@@ -76,17 +60,11 @@ class TestStreamedIncrements:
 
 
 class TestTerminalDrawsNoIncrements:
-    def test_multipliers_leave_bundle_undrawn(self):
-        econ = heterogeneous_economy()
-        bundle = simulate(econ, _sim())
-        solve_terminal_multipliers(econ, _sim(), bundle=bundle)
-        assert bundle._dZ is None and bundle._z_block is None
-
     def test_clearing_never_reads_increments(self, monkeypatch):
-        def refuse(self, i):
+        def refuse(self):
             raise AssertionError("terminal clearing read idiosyncratic increments")
 
-        monkeypatch.setattr(dynamics.PathBundle, "_dz_block", refuse)
+        monkeypatch.setattr(dynamics.PathBundle, "dZ", property(refuse))
         rep = verify_terminal_clearing(heterogeneous_economy(), _sim())
         assert rep.max_residual <= rep.dt
 
@@ -107,7 +85,8 @@ def test_foc_order_draws_no_increments(monkeypatch):
 
 
 class TestInvestorIndex:
-    """``investor`` is resolved before any path is drawn."""
+    """``investor``, and the budget check's checkpoints, are resolved before
+    any path is drawn."""
 
     CHECKS = {
         "verify_foc": lambda econ, i: verify_foc(econ, _sim(), investor=i),
@@ -134,6 +113,19 @@ class TestInvestorIndex:
         message = f"investor {investor} is out of range for 2 investors"
         with pytest.raises(ValueError, match=message):
             self.CHECKS[name](heterogeneous_economy(), investor)
+
+    @pytest.mark.parametrize("checkpoint", [-0.25, 1.5])
+    def test_checkpoint_outside_the_horizon_is_refused_before_drawing(self, monkeypatch,
+                                                                      checkpoint):
+        def refuse(*args):
+            raise AssertionError("paths were drawn for an invalid checkpoint")
+
+        monkeypatch.setattr(dynamics, "_simulate_chunk", refuse)
+        econ = heterogeneous_economy()
+        assert econ.horizon == 1.0
+        with pytest.raises(ValueError, match=rf"checkpoint {checkpoint} is outside \[0, 1.0\]"):
+            verify_budget_martingale(econ, _sim(n_paths=16, steps_per_year=12),
+                                     checkpoints=(0.5, checkpoint), inner_paths=8)
 
 
 class TestSharedChunkLoop:
