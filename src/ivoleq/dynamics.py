@@ -26,8 +26,8 @@ chunks by the pairwise update of Chan, Golub and LeVeque (1979).
 
 The mismatch between the trapezoid discount and the left-endpoint
 consumption drift telescopes into a first-order-condition residual of
-exactly ``(dt / 2) * (r_t - r_0)`` per unit tolerance, which is what the
-order-of-convergence check measures.
+exactly ``(dt / 2) * (r_{t_k} - r_0)`` at grid point t_k, for every
+investor, which is what the order-of-convergence check measures.
 
 Paths are generated in fixed-size chunks, each from its own counter-based
 stream spawned from the run seed, so estimates do not depend on how the
@@ -40,18 +40,26 @@ step at a time, and the integrals the checks share, ``int v dt``,
 ``_run``, the one chunk loop, feeds each consumer an update at every grid
 point and takes its per-path rows at the horizon (means for estimators,
 maxima for the clearing and first-order-condition residuals), so none holds
-a (paths, steps + 1) array and plans on one stream share one walk; the
-first-order-condition consumer draws its investor's ``dZ`` block once per
-chunk.  :func:`simulate` and ``PathBundle`` store full paths only as the
-Euler reference the walked forms are tested against.
+a (paths, steps + 1) array and plans on one stream share one walk.
+:func:`simulate` and ``PathBundle`` store full paths only as the Euler
+reference the walked forms are tested against.
 
 Every investor's consumption and insured income are affine in
 ``(1, t, int v dt, int sqrt(v) dW)``, the walk's ``_Chunk.basis()``, which
 all investors share; :func:`_affine_coeffs` builds the coefficients once, and
-every per-investor path is one product with the basis.  Raw income adds
-``beta_Y**2 / (2 tau) int v dt + beta_Y int sqrt(v) dZ_i``.  So the budget
-integral of consumption ``C_i(t_k) = c_i . basis_k`` takes the forward form
-of summation by parts, for trapezoid weights ``w``:
+every per-investor path is one product with the basis.  So goods clearing
+and the first-order condition are identities in the coefficients, and both
+checks are one consumer (``_affine_residual``) of a summed coefficient row:
+the consumption rows summed over investors, and for investor i
+``-(c_i + y_i - Y0 e_0) / tau + (0, 0, mpr**2 / 2, mpr)`` plus the discount
+``int r dt`` (initial consumption and ``log tau`` cancel between the
+consumption path and the multiplier).  Raw income, insured income plus
+``beta_Y**2 / (2 tau) int v dt + beta_Y int sqrt(v) dZ_i``, meets the belief
+density's ``-(beta_Y / tau) int sqrt(v) dZ_i - (beta_Y / tau)**2 int v dt / 2``
+in an algebraic zero, so its route equals the insured one for every ``dZ``
+and no check draws ``dZ``.  The budget integral of consumption
+``C_i(t_k) = c_i . basis_k`` takes the forward form of summation by parts,
+for trapezoid weights ``w``:
 
     sum_k w_k xi_k C_i(t_k) = c_i . sum_k w_k xi_k basis_k,
 
@@ -172,6 +180,8 @@ class _SimContext:
     """Precomputed per-run constants shared by every chunk."""
 
     def __init__(self, econ: EconomyParams, sim: SimConfig, horizon: float, benchmark=False):
+        if not 0.0 <= horizon < math.inf:
+            raise ValueError(f"simulation horizon {horizon} must be finite and nonnegative")
         if horizon > econ.horizon + 1e-12:
             raise ValueError(
                 f"simulation horizon {horizon} exceeds economy horizon {econ.horizon}"
@@ -507,8 +517,8 @@ def _then(chunk: _Chunk, fn, *parts):
 
 def _simulate_chunk(ctx: _SimContext, seed, m: int) -> _Chunk:
     """A chunk with its state increments drawn in place; its walk generates the state."""
-    # state, idiosyncratic and belief streams; a child depends only on its
-    # index, so the first two equal spawn(2)'s
+    # state, idiosyncratic (read only by PathBundle) and belief streams; a
+    # child depends only on its index, so the belief stream stays child 2
     seeds = seed.spawn(3)
     if ctx.sim.scheme == "exact":
         return _Chunk(ctx, m, None, seeds)
@@ -868,26 +878,33 @@ def verify_clearing(econ: EconomyParams, sim: SimConfig) -> ClearingReport:
     Every investor's consumption path is driven by the same state and
     Brownian increments, and the increment coefficients sum to zero across
     investors, so the aggregate is constant up to floating-point roundoff
-    on every path and date.  Each chunk is walked with a running sum per
-    investor and path; the report is the largest residual of all chunks.
+    on every path and date.  The walk evaluates the consumption rows of
+    :func:`_affine_coeffs`, summed over investors, on its basis: one
+    (4,) @ (4, paths) product per step, whatever the number of investors.
+    The report is the largest residual of all chunks.
     """
     return _run(_clearing_plan(econ, sim))[0]
 
 
-def _clearing_rows(chunk: _Chunk):
-    """Consumer: per path, the largest |summed consumption increments to t_k|;
-    every investor's consumption is one row of a product with the basis."""
+def _affine_residual(chunk: _Chunk, g, h: float) -> NDArray[np.float64]:
+    """``|g . basis + h int_r|`` per path at the walk's current grid point."""
+    return np.abs(g @ chunk.basis() + h * chunk.int_r)
+
+
+def _peak_residual(chunk: _Chunk, g, h: float):
+    """Consumer: per path, the largest :func:`_affine_residual` over t_0, ..., t_K."""
     _need_dw(chunk.draw)
-    coeffs, peak = _affine_coeffs(chunk.ctx.agg, chunk.ctx.econ.investors)[0], np.zeros(chunk.m)
+    peak = _affine_residual(chunk, g, h)
     for _ in range(chunk.n_steps):
         yield
-        np.maximum(peak, np.abs((coeffs @ chunk.basis()).sum(axis=0)), out=peak)
+        np.maximum(peak, _affine_residual(chunk, g, h), out=peak)
     yield peak
 
 
 def _clearing_plan(econ: EconomyParams, sim: SimConfig) -> _Plan:
     ctx = _SimContext(econ, _require_measure(sim, "P"), econ.horizon)
-    return _Plan(ctx, _clearing_rows,
+    g = _affine_coeffs(ctx.agg, econ.investors)[0].sum(axis=0)
+    return _Plan(ctx, lambda ch: _peak_residual(ch, g, 0.0),
                  lambda acc: ClearingReport(float(acc.value), sim.n_paths, ctx.n_steps), _Max)
 
 
@@ -962,19 +979,18 @@ def _multipliers_plan(econ: EconomyParams, sim: SimConfig) -> _Plan:
 
 @dataclass(frozen=True)
 class FocReport:
-    """Pathwise first-order-condition residuals for one investor.
+    """Pathwise first-order-condition residual for one investor.
 
-    ``max_insured`` uses the insured income path against the pricing
-    density alone; ``max_raw`` uses raw income against the pricing density
-    tilted by the investor's belief density.  The two routes are exact
-    continuous-time identities; their discrete residuals are pure
-    time-discretization error.
+    ``max_insured`` is the largest residual over paths and dates of the
+    insured income path against the pricing density alone.  Raw income
+    against the density tilted by the investor's belief gives the same
+    residual for every idiosyncratic path (module docstring), so it needs
+    no second route.  The identity is exact in continuous time; the discrete
+    residual is pure time-discretization error.
     """
 
     investor: int
     max_insured: float
-    max_raw: float
-    route_split: float
     n_paths: int
     dt: float
 
@@ -986,76 +1002,32 @@ def _investor(econ: EconomyParams, investor: int) -> int:
     return investor % econ.n_investors
 
 
-def _investor_dz(chunk: _Chunk, i: int) -> NDArray[np.float64]:
-    """Investor i's (paths, steps) ``dZ`` block, ``PathBundle.dZ[i]`` bit for bit:
-    the stream holds the investors' blocks in order, drawn here into one buffer."""
-    gen, dz = _philox(chunk.z_seed), np.empty((chunk.m, chunk.n_steps))
-    for _ in range(i + 1):
-        _draw_increments(gen, dz, chunk.dt)
-    return dz
+def _foc_coeffs(agg: AggregateParams, inv) -> NDArray[np.float64]:
+    """Investor ``inv``'s first-order-condition residual on the basis, less the
+    discount ``int r dt``: log marginal utility less its log price, in which
+    initial consumption and ``log tau`` cancel."""
+    c, y = _affine_coeffs(agg, [inv])[:, 0]
+    mpr = agg.mpr_loading
+    return -(c + y - inv.Y0 * np.eye(4)[0]) / inv.tau + np.array([0.0, 0.0, 0.5 * mpr**2, mpr])
 
 
-def _foc_rows(chunk: _Chunk, i: int, c0: float, raw: bool = True):
-    """Consumer: investor i's first-order-condition residuals along the walk.
-
-    Consumption and insured income are one product with the basis; raw
-    income adds ``beta_Y**2 / (2 tau) int v dt + beta_Y int sqrt(v) dZ_i``,
-    whose last term runs as a sum per path over investor i's ``dZ`` block,
-    drawn once per chunk.  With ``raw``, yields per path the largest
-    |r_ins|, |r_raw| and |r_ins - r_raw| over t_0, ..., t_K; without,
-    |r_ins| at t_K alone and no ``dZ``.
-    """
-    _need_dw(chunk.draw)
-    inv = chunk.ctx.econ.investors[i]
-    coeffs, ratio = _affine_coeffs(chunk.ctx.agg, [inv])[:, 0], inv.beta_Y / inv.tau
-    log_alpha = -(c0 + inv.Y0) / inv.tau - math.log(inv.tau)
-    if raw:
-        dz, z_cum = _investor_dz(chunk, i), np.zeros(chunk.m)
-    peak = np.zeros((3, chunk.m))
-
-    def residual(c_path, income, log_xi, log_belief=0.0):
-        # one route: log marginal utility, -log tau - (c + income) / tau, against its log price
-        return -math.log(inv.tau) - (c_path + income) / inv.tau - (log_alpha + log_belief + log_xi)
-
-    for k in range(chunk.n_steps + 1):
-        if raw and k:
-            z_cum += chunk.root * dz[:, k - 1]
-        if raw or k == chunk.n_steps:
-            c_cum, y_ins = coeffs @ chunk.basis()
-            c_path, log_xi = c0 + c_cum, chunk.log_xi()
-            r_ins = residual(c_path, y_ins, log_xi)
-        if raw:
-            y_raw = y_ins + 0.5 * ratio * inv.beta_Y * chunk.int_v + inv.beta_Y * z_cum
-            log_belief = -ratio * z_cum - 0.5 * ratio**2 * chunk.int_v
-            r_raw = residual(c_path, y_raw, log_xi, log_belief)
-            np.maximum(peak, np.abs([r_ins, r_raw, r_ins - r_raw]), out=peak)
-        if k < chunk.n_steps:
-            yield
-    yield peak if raw else np.abs(r_ins)
-
-
-def _foc_plan(econ: EconomyParams, sim: SimConfig, investor: int = 0, c0=None) -> _Plan:
+def _foc_plan(econ: EconomyParams, sim: SimConfig, investor: int = 0) -> _Plan:
     i = _investor(econ, investor)
     ctx = _SimContext(econ, _require_measure(sim, "P"), econ.horizon)
-    return _Plan(ctx, lambda ch: _foc_rows(ch, i, 0.0 if c0 is None else c0),
-                 lambda acc: FocReport(i, *map(float, acc.value), sim.n_paths, ctx.dt), _Max)
+    g = _foc_coeffs(ctx.agg, econ.investors[i])
+    return _Plan(ctx, lambda ch: _peak_residual(ch, g, 1.0),
+                 lambda acc: FocReport(i, float(acc.value), sim.n_paths, ctx.dt), _Max)
 
 
-def verify_foc(
-    econ: EconomyParams,
-    sim: SimConfig,
-    investor: int = 0,
-    c0: float | None = None,
-) -> FocReport:
+def verify_foc(econ: EconomyParams, sim: SimConfig, investor: int = 0) -> FocReport:
     """Check the marginal-utility pricing identity along every path.
 
-    The initial consumption level cancels between the consumption path and
-    the multiplier, so any value gives the same residual; pass one to pin
-    the paths to a solved budget.  Residuals shrink linearly in the step
-    size (see the module docstring for the exact telescoped form).  Chunks
-    are walked with running sums; the report's ``investor`` is nonnegative.
+    Residuals shrink linearly in the step size (see the module docstring
+    for the exact telescoped form).  The walk evaluates one coefficient row
+    on its basis and adds the discount; it draws no idiosyncratic
+    increments.  The report's ``investor`` is nonnegative.
     """
-    return _run(_foc_plan(econ, sim, investor, c0))[0]
+    return _run(_foc_plan(econ, sim, investor))[0]
 
 
 def _coarse(ctx: _SimContext, dW, factor: int) -> _Chunk:
@@ -1090,12 +1062,13 @@ def foc_order(
 
     Simulates at the finest grid once and aggregates the same increments
     onto coarser grids, so every level sees the same underlying noise and
-    the residual ratio is nearly deterministic.  The insured route carries
-    no idiosyncratic term, so no level draws ``dZ``.
+    the residual ratio is nearly deterministic.  Each level reads the
+    residual of :func:`verify_foc` at the horizon, so none draws ``dZ``.
     """
     i = _investor(econ, investor)
+    g = _foc_coeffs(require_valid(econ), econ.investors[i])
     residuals = _level_means(econ, replace(sim, measure="P"), econ.horizon, doublings,
-                             lambda ch: _foc_rows(ch, i, 0.0, raw=False))
+                             lambda ch: _then(ch, lambda ch: _affine_residual(ch, g, 1.0)))
     levels = [sim.steps_per_year * 2**level for level in range(doublings + 1)]
     fit = np.polyfit(np.log2(levels), np.log2(residuals), 1)
     return FocOrderReport(tuple(levels), tuple(map(float, residuals)), float(-fit[0]))
@@ -1237,6 +1210,8 @@ def verify_budget_martingale(
     in paths; defaults are sized for a smoke test, not for precision.
     """
     investor = _investor(econ, investor)
+    if inner_paths < 1:
+        raise ValueError(f"inner_paths must be at least 1, got {inner_paths}")
     for t_c in checkpoints:
         if not 0.0 <= t_c <= econ.horizon:
             raise ValueError(f"checkpoint {t_c} is outside [0, {econ.horizon}]")

@@ -144,30 +144,31 @@ class TerminalClearingReport:
 def _terminal_paths(
     econ: EconomyParams, agg: AggregateParams, sol: RiccatiSolution, chunk: _Chunk
 ):
-    """Log terminal deflator and each investor's terminal insured income, per path.
+    """The investors' insured-income rows, and per path the log terminal
+    deflator and the walk's basis at the horizon.
 
-    One walk of the chunk gives both.  The deflator is the left-point
-    exponential martingale loading the terminal price of risk on the traded
-    shock.  Insured income carries no idiosyncratic term, so nothing here
-    draws idiosyncratic increments: its terminal value is the insured-income
-    row of ``dynamics._affine_coeffs`` times the basis the walk ends with,
+    One walk of the chunk gives both path quantities.  The deflator is the
+    left-point exponential martingale loading the terminal price of risk on
+    the traded shock.  Insured income carries no idiosyncratic term, so
+    nothing here draws idiosyncratic increments: investor i's terminal
+    insured income is its row ``y_i`` of ``dynamics._affine_coeffs`` times
+    the basis,
     ``Y0 + mu_Y T + (kappa_Y - beta_Y**2 / (2 tau)) int v dt + sigma_Y int sqrt(v) dW``.
     """
     coeff = terminal_mpr(sol, agg, chunk.times[:-1], econ.horizon)
     (log_xi,) = _walk_rows(chunk, [lambda ch: _log_exp_martingale(ch, coeff)])
-    return log_xi, _affine_coeffs(agg, econ.investors)[1] @ chunk.basis()
+    return _affine_coeffs(agg, econ.investors)[1], log_xi, chunk.basis()
 
 
-def _multipliers(econ: EconomyParams, log_xi, income_end) -> TerminalMultipliers:
+def _multipliers(econ: EconomyParams, income, log_xi, basis_end) -> TerminalMultipliers:
+    """Multipliers from the terminal budgets (arguments as :func:`_terminal_paths`
+    returns them): ``E[xi Y_i(T)] = y_i . E[xi basis_T]``."""
     xi = np.exp(log_xi)
     xi_mean = float(xi.mean())
     xi_log = float((xi * log_xi).mean())
-    intercept = np.empty(econ.n_investors)
-    for i, inv in enumerate(econ.investors):
-        intercept[i] = (
-            inv.X0 + inv.tau * xi_log + float((xi * income_end[i]).mean())
-        ) / xi_mean
+    x0 = np.array([inv.X0 for inv in econ.investors])
     taus = np.array([inv.tau for inv in econ.investors])
+    intercept = (x0 + taus * xi_log + income @ (xi * basis_end).mean(axis=1)) / xi_mean
     alpha = np.exp(-intercept / taus) / taus
     if not np.all(np.isfinite(alpha)):
         raise ArithmeticError("terminal multiplier estimate is not finite")
@@ -196,11 +197,13 @@ def verify_terminal_clearing(
 ) -> TerminalClearingReport:
     """Check that terminal wealths sum to zero path by path.
 
-    Builds each investor's terminal wealth from the solved multiplier, the
-    shared terminal deflator and its terminal insured income, then reports the worst
-    pathwise deviation of the sum.  Everything is assembled from one walk of
-    shared paths so the cancellation fails only through the first-order bias
-    of the left-point sums.
+    Each investor's terminal wealth is its solved multiplier's intercept
+    less ``tau log xi_T`` and its terminal insured income, so the sum is
+    ``sum_i intercept_i - tau_total log xi_T - (sum_i y_i) . basis_T``: no
+    per-investor path is formed.  The worst pathwise deviation of the sum is
+    reported.  Everything is assembled from one walk of shared paths so the
+    cancellation fails only through the first-order bias of the left-point
+    sums.
     """
     agg = require_valid(econ)
     if sim.measure != "P":
@@ -209,11 +212,9 @@ def verify_terminal_clearing(
         raise ValueError("terminal clearing needs Brownian increments; use the euler scheme")
     sol = solve_closed_form(market_coeffs(agg), econ.horizon)
     chunk = _one_chunk(econ, sim)
-    log_xi, income_end = _terminal_paths(econ, agg, sol, chunk)
-    mult = _multipliers(econ, log_xi, income_end)
-    total = np.zeros(chunk.m)
-    for i, inv in enumerate(econ.investors):
-        total += mult.intercept[i] - inv.tau * log_xi - income_end[i]
+    income, log_xi, basis_end = _terminal_paths(econ, agg, sol, chunk)
+    mult = _multipliers(econ, income, log_xi, basis_end)
+    total = mult.intercept.sum() - agg.tau_total * log_xi - income.sum(axis=0) @ basis_end
     t_grid = np.linspace(0.0, econ.horizon, loading_grid)
     gap = max(abs(wealth_sum_loading(sol, agg, t, econ.horizon)) for t in t_grid)
     return TerminalClearingReport(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -84,6 +85,14 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(econ2, small(scheme="exact", measure="QU", horizon_U=1.0))
 
+    @pytest.mark.parametrize("horizon", [-0.5, -1.0, math.nan, -math.inf])
+    def test_negative_or_nonfinite_horizon_is_refused(self, econ2, horizon):
+        message = f"simulation horizon {horizon} must be finite and nonnegative"
+        with pytest.raises(ValueError, match=message):
+            mc_bond_price(econ2, horizon, small())
+        with pytest.raises(ValueError, match=message):
+            mc_state_mean(econ2, small(), horizon=horizon)
+
     def test_horizon_override(self, econ2):
         bundle = simulate(econ2, small(), horizon=0.5)
         assert bundle.times[-1] == pytest.approx(0.5, abs=1e-12)
@@ -156,11 +165,12 @@ class TestClearing:
 class TestFirstOrderConditions:
     def test_residual_at_discretization_level(self, econ_mixed):
         rep = verify_foc(econ_mixed, small(), investor=1)
+        assert rep.investor == 1
         assert rep.max_insured <= rep.dt
-        assert rep.max_raw <= rep.dt
-        assert rep.route_split <= 1e-12
 
     def test_no_unspanned_loading_merges_routes(self):
+        # without an unspanned loading raw income is insured income and the
+        # belief density is one, on the full-path reference bit for bit
         econ = EconomyParams(
             vol=REFERENCE_VOL,
             horizon=1.0,
@@ -169,8 +179,13 @@ class TestFirstOrderConditions:
                 dataclasses.replace(REFERENCE_INVESTOR, beta_Y=0.0),
             ),
         )
+        bundle = simulate(econ, small(n_paths=200))
+        for i in range(econ.n_investors):
+            raw, insured = bundle.income_paths(i)
+            assert np.array_equal(raw, insured)
+            assert not np.any(bundle.log_belief_density(i))
         rep = verify_foc(econ, small(), investor=0)
-        assert rep.route_split == 0.0
+        assert rep.max_insured <= rep.dt
 
     def test_first_order_in_step_size(self, econ_mixed):
         rep = foc_order(econ_mixed, small(steps_per_year=63), doublings=2)

@@ -7,15 +7,19 @@ consumer to its explicit full-path form on the same chunk, check that no
 check builds full paths, and hold the terminal check's walked deflator and
 income to its full paths.  Per-investor paths are affine maps of the walk's
 sums, so they meet the Euler reference of ``PathBundle`` up to the
-reassociation of sums.  The belief densities at the horizon are drawn
-conditionally on the variance path, one normal per investor and path;
-they are held to that form exactly and to the full-path sum in law.
+reassociation of sums.  The identities the clearing and first-order-condition
+checks rest on are held directly: the consumption rows sum to zero, the
+residual is the telescoped discount, and the raw route of the reference
+equals the insured one for any ``dZ``.  The belief densities at the horizon
+are drawn conditionally on the variance path, one normal per investor and
+path; they are held to that form exactly and to the full-path sum in law.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -25,6 +29,7 @@ from hypothesis import strategies as st
 
 from conftest import draw_valid_economy, heterogeneous_economy
 from ivoleq import dynamics, terminal
+from ivoleq.config import load_config
 from ivoleq.dynamics import (
     SimConfig,
     foc_order,
@@ -49,6 +54,7 @@ from ivoleq.model import validate
 from ivoleq.riccati import market_coeffs, solve_closed_form
 
 RTOL, ATOL = 1e-12, 1e-14
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _walked(plan):
@@ -226,14 +232,14 @@ class TestRowsMatchFullPaths:
         for chunk in dynamics._iter_chunks(dynamics._SimContext(econ, sim, econ.horizon)):
             bundle = dynamics._bundle(chunk)
             coeff = terminal.terminal_mpr(sol, agg, bundle.times[:-1], econ.horizon)
-            log_xi, income_end = terminal._terminal_paths(econ, agg, sol, chunk)
+            income, log_xi, basis_end = terminal._terminal_paths(econ, agg, sol, chunk)
             root = np.sqrt(bundle.v[:, :-1])
             want = -np.cumsum(coeff * root * bundle.dW, axis=1)[:, -1] - 0.5 * np.cumsum(
                 coeff**2 * bundle.v[:, :-1] * bundle.dt, axis=1
             )[:, -1]
             _close(log_xi, want)
             for i in range(econ.n_investors):
-                _close(income_end[i], bundle.insured_income(i)[:, -1])
+                _close(income[i] @ basis_end, bundle.insured_income(i)[:, -1])
 
 
 def _full_clearing(bundle) -> np.ndarray:
@@ -260,15 +266,11 @@ def _full_foc(bundle, i: int, c0: float, raw: bool = True):
     return r_ins, residual(bundle.income_paths(i)[0], bundle.log_belief_density(i))
 
 
-def _foc_maxima(r_ins, r_raw) -> np.ndarray:
-    return np.abs([r_ins, r_raw, r_ins - r_raw]).max(axis=-1)
-
-
 pathwise = dict(
     n_investors=st.sampled_from([1, 4]),
     last=st.booleans(),
     zero_beta=st.booleans(),
-    c0=st.sampled_from([None, 0.3]),
+    c0=st.sampled_from([0.0, 0.3]),  # of the reference only: the walked check has none
     **draws,
 )
 
@@ -289,11 +291,12 @@ def _pathwise_case(seed, antithetic, chunk_size, n_investors, zero_beta):
     return econ, sim
 
 
-# The walked clearing and first-order-condition rows evaluate each investor's
-# affine map on the walk's sums, while the Euler reference of ``PathBundle``
-# adds the increments a step at a time.  The two differ by the reassociation
-# of sums of O(1) terms over the 24 steps of these cases; ROUNDOFF bounds the
-# absolute difference (the largest seen on 240 drawn cases was 1.5e-15).
+# The walked clearing and first-order-condition rows evaluate a summed
+# coefficient row on the walk's sums, while the Euler reference of
+# ``PathBundle`` adds each investor's increments a step at a time.  The two
+# differ by the reassociation of sums of O(1) terms over the 24 steps of these
+# cases; ROUNDOFF bounds the absolute difference (the largest seen on 240
+# drawn cases was 1.5e-15).
 ROUNDOFF = 1e-13
 
 
@@ -303,7 +306,8 @@ def _roundoff_close(got, want):
 
 class TestPathwiseReports:
     """The walked clearing and first-order-condition checks against the
-    Euler reference of full paths, within ROUNDOFF."""
+    Euler reference of full paths, within ROUNDOFF; the reference's initial
+    consumption level, its raw route and its ``dZ`` leave the residual as is."""
 
     @given(**pathwise)
     @settings(max_examples=20, deadline=None)
@@ -313,11 +317,14 @@ class TestPathwiseReports:
         i = n_investors - 1 if last else 0
         for (got,), _, bundle in _walked(dynamics._clearing_plan(econ, sim)):
             _roundoff_close(got, _full_clearing(bundle))
-        for (got,), chunk, bundle in _walked(dynamics._foc_plan(econ, sim, i, c0)):
-            r_ins, r_raw = _full_foc(bundle, i, 0.0 if c0 is None else c0)
-            _roundoff_close(got, _foc_maxima(r_ins, r_raw))
-            (end,) = dynamics._walk_rows(chunk, [lambda ch: dynamics._foc_rows(ch, i, 0.0, False)])
-            _roundoff_close(end, np.abs(_full_foc(bundle, i, 0.0, raw=False)[:, -1]))
+        g = dynamics._foc_coeffs(dynamics.require_valid(econ), econ.investors[i])
+        for (got,), chunk, bundle in _walked(dynamics._foc_plan(econ, sim, i)):
+            r_ins = _full_foc(bundle, i, c0, raw=False)
+            _roundoff_close(got, np.abs(r_ins).max(axis=1))
+            # foc_order's row: the same coefficients at the horizon
+            (end,) = dynamics._walk_rows(chunk, [lambda ch: dynamics._then(
+                ch, lambda ch: dynamics._affine_residual(ch, g, 1.0))])
+            _roundoff_close(end, np.abs(r_ins[:, -1]))
 
     @given(**pathwise)
     @settings(max_examples=20, deadline=None)
@@ -331,14 +338,39 @@ class TestPathwiseReports:
         _roundoff_close(rep.max_residual, max(_full_clearing(b).max() for b in bundles))
         assert (rep.n_paths, rep.n_steps) == (40, 24)
         i = n_investors - 1 if last else 0
-        foc = verify_foc(econ, sim, investor=-1 if last else 0, c0=c0)
-        want = np.max([_foc_maxima(*_full_foc(b, i, 0.0 if c0 is None else c0)).max(axis=-1)
-                       for b in bundles], axis=0)
-        _roundoff_close((foc.max_insured, foc.max_raw, foc.route_split), want)
+        foc = verify_foc(econ, sim, investor=-1 if last else 0)
+        _roundoff_close(foc.max_insured, max(np.abs(_full_foc(b, i, c0, raw=False)).max()
+                                             for b in bundles))
         assert (foc.investor, foc.n_paths, foc.dt) == (i, 40, ctx.dt)
-        if zero_beta:
-            # without an unspanned loading the two routes are one computation
-            assert foc.route_split == 0.0
+
+    @given(scale=st.sampled_from([0.0, 1.0, 50.0]), **pathwise)
+    @settings(max_examples=20, deadline=None)
+    def test_raw_route_equals_insured_route(self, scale, seed, antithetic, chunk_size,
+                                            n_investors, last, zero_beta, c0):
+        # raw income adds beta**2 / (2 tau) int v dt + beta int sqrt(v) dZ and the
+        # belief density takes the same terms back, so the routes agree for any dZ
+        econ, sim = _pathwise_case(seed, antithetic, chunk_size, n_investors, zero_beta)
+        i = n_investors - 1 if last else 0
+        bundle = dynamics.simulate(econ, sim)
+        if scale != 1.0:
+            rng = np.random.default_rng(seed)
+            bundle._dZ = scale * rng.standard_normal(bundle.dZ.shape)
+        r_ins, r_raw = _full_foc(bundle, i, c0)
+        # the cancelled dZ terms, and so their roundoff, grow with the scale
+        np.testing.assert_allclose(r_raw, r_ins, rtol=0.0, atol=ROUNDOFF * (1.0 + scale))
+
+    @given(**draws)
+    @settings(max_examples=20, deadline=None)
+    def test_residual_is_the_telescoped_discount(self, seed, antithetic, chunk_size):
+        # at t_k the residual is (dt / 2) (r(v_k) - r(v_0)) for every investor:
+        # the trapezoid discount less the left-point drift of log marginal
+        # utility; so foc_max_residual <= dt wherever |rate_slope| |v_k - v_0| <= 2
+        econ, sim, agg, _ = _case(seed, antithetic, chunk_size)
+        for i in range(econ.n_investors):
+            for (got,), _, bundle in _walked(dynamics._foc_plan(econ, sim, i)):
+                telescoped = 0.5 * agg.rate_slope * (bundle.v - bundle.v[:, :1]) * bundle.dt
+                _roundoff_close(_full_foc(bundle, i, 0.0, raw=False), telescoped)
+                _roundoff_close(got, np.abs(telescoped).max(axis=1))
 
     @given(**draws)
     @settings(max_examples=10, deadline=None)
@@ -359,6 +391,20 @@ class TestPathwiseReports:
         _roundoff_close(rep.residuals, sums / n)
         assert rep.steps_per_year == (6, 12, 24)
 
+
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_consumption_coefficients_sum_to_zero_on_configs(config):
+    econ = load_config(config)
+    coeffs = dynamics._affine_coeffs(dynamics.require_valid(econ), econ.investors)[0]
+    np.testing.assert_allclose(coeffs.sum(axis=0), 0.0, rtol=0.0, atol=1e-15)
+
+
+@given(seed=st.integers(0, 2**31))
+@settings(max_examples=50, deadline=None)
+def test_consumption_coefficients_sum_to_zero_on_drawn_economies(seed):
+    econ = draw_valid_economy(np.random.default_rng(seed), with_wealth=True)
+    coeffs = dynamics._affine_coeffs(dynamics.require_valid(econ), econ.investors)[0]
+    np.testing.assert_allclose(coeffs.sum(axis=0), 0.0, rtol=0.0, atol=1e-15)
 
 def _ratios(econ) -> np.ndarray:
     """Belief loadings ``beta_Y / tau`` as a column, one row per investor."""

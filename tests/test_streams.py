@@ -1,6 +1,6 @@
 """Random blocks drawn once and only where read: the idiosyncratic
-increments of the first-order-condition walk, the increment-free terminal
-check and shared chunk loops."""
+increments of the full-path reference, the increment-free pathwise and
+terminal checks, and shared chunk loops."""
 
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ from ivoleq.dynamics import (
     martingale_checks,
     simulate,
     verify_budget_martingale,
+    verify_clearing,
     verify_foc,
 )
 from ivoleq.terminal import verify_terminal_clearing
@@ -36,12 +37,16 @@ class TestStreamedIncrements:
         ids=["in_order", "out_of_order", "repeated"],
     )
     def test_blocks_equal_full_draw_bitwise(self, order):
-        # the first-order-condition walk's block of investor i is the reference's dZ[i]
+        # the reference's dZ[i] is the (i + 1)-th (paths, steps) block of the
+        # chunk's idiosyncratic stream, whichever investor is read first
         econ = reference_economy(4)
-        full = simulate(econ, _sim()).dZ
+        bundle = simulate(econ, _sim())
         chunk = dynamics._one_chunk(econ, _sim())
+        gen = dynamics._philox(chunk.z_seed)
+        blocks = [dynamics._draw_increments(gen, np.empty((chunk.m, chunk.n_steps)), chunk.dt)
+                  for _ in range(econ.n_investors)]
         for i in order:
-            assert np.array_equal(dynamics._investor_dz(chunk, i), full[i])
+            assert np.array_equal(bundle.dZ[i], blocks[i])
 
     def test_functionals_agree_with_the_full_draw(self):
         econ = heterogeneous_economy()
@@ -70,6 +75,7 @@ class TestTerminalDrawsNoIncrements:
 
 
 def test_foc_order_draws_no_increments(monkeypatch):
+    # neither foc_order nor verify_foc draws dZ: both read one coefficient row
     simulate_chunk = dynamics._simulate_chunk
 
     def without_idiosyncratic_stream(ctx, seed, m):
@@ -80,13 +86,14 @@ def test_foc_order_draws_no_increments(monkeypatch):
     monkeypatch.setattr(dynamics, "_simulate_chunk", without_idiosyncratic_stream)
     rep = foc_order(heterogeneous_economy(), _sim(steps_per_year=16), doublings=2)
     assert rep.order > 0.5
-    with pytest.raises(ValueError, match="without this random stream"):
-        verify_foc(heterogeneous_economy(), _sim())
+    for investor in (0, 1):
+        rep = verify_foc(heterogeneous_economy(), _sim(), investor=investor)
+        assert rep.max_insured <= rep.dt
 
 
 class TestInvestorIndex:
-    """``investor``, and the budget check's checkpoints, are resolved before
-    any path is drawn."""
+    """``investor``, and the budget check's checkpoints and inner path count,
+    are resolved before any path is drawn."""
 
     CHECKS = {
         "verify_foc": lambda econ, i: verify_foc(econ, _sim(), investor=i),
@@ -126,6 +133,16 @@ class TestInvestorIndex:
         with pytest.raises(ValueError, match=rf"checkpoint {checkpoint} is outside \[0, 1.0\]"):
             verify_budget_martingale(econ, _sim(n_paths=16, steps_per_year=12),
                                      checkpoints=(0.5, checkpoint), inner_paths=8)
+
+    @pytest.mark.parametrize("inner_paths", [0, -3])
+    def test_inner_paths_below_one_is_refused_before_drawing(self, monkeypatch, inner_paths):
+        def refuse(*args):
+            raise AssertionError("paths were drawn for an invalid inner path count")
+
+        monkeypatch.setattr(dynamics, "_simulate_chunk", refuse)
+        with pytest.raises(ValueError, match=f"inner_paths must be at least 1, got {inner_paths}"):
+            verify_budget_martingale(heterogeneous_economy(), _sim(n_paths=16, steps_per_year=12),
+                                     inner_paths=inner_paths)
 
 
 class TestSharedChunkLoop:
@@ -207,10 +224,23 @@ def test_walk_holds_one_increment_block():
 
 
 def test_foc_check_holds_one_increment_block_per_stream():
-    # one walk of one 4096 x 252 chunk: the dW block, the investor's dZ block
-    # (the second of the stream, drawn into the same buffer as the first) and
-    # (paths,) vectors
+    # one walk of one 4096 x 252 chunk: the dW block, no dZ block, and the
+    # (4, paths) basis and (paths,) vectors
     econ = heterogeneous_economy()
     sim = SimConfig(n_paths=4096, seed=3, antithetic=False)
     block = sim.n_paths * sim.n_steps(econ.horizon) * 8
-    assert _peak_bytes(lambda: verify_foc(econ, sim, investor=1)) < 3 * block
+    assert _peak_bytes(lambda: verify_foc(econ, sim, investor=1)) < 1.5 * block
+
+
+@pytest.mark.parametrize(
+    "check", [verify_clearing, verify_terminal_clearing],
+    ids=["verify_clearing", "verify_terminal_clearing"],
+)
+def test_pathwise_sums_hold_no_investor_rows(check):
+    # 256 investors over 24 steps: one (investors, paths) array outweighs the
+    # chunk's dW block, basis and vectors together several times over
+    econ = reference_economy(256)
+    sim = SimConfig(n_paths=512, steps_per_year=24, seed=3, antithetic=False)
+    rows = econ.n_investors * sim.n_paths * 8
+    check(econ, sim)  # first-call allocations of the library are not the check's
+    assert _peak_bytes(lambda: check(econ, sim)) < rows / 2
