@@ -656,17 +656,44 @@ def _mean_plan(ctx: _SimContext, rows) -> _Plan:
     return _Plan(ctx, rows, lambda acc: acc.estimate(ctx.sim))
 
 
+def _mean_int_rate(ctx: _SimContext) -> NDArray[np.float64]:
+    """``m_k = E[int_r(t_k)]`` on ``ctx.times`` under the exact transition law:
+    the trapezoid integral of the affine rate at the state mean :func:`cir_mean`."""
+    vol = ctx.econ.vol
+    r = ctx.agg.rate_intercept + ctx.rate_slope * cir_mean(vol.mu_v, ctx.kappa_eff, vol.v0, ctx.times)
+    m = np.zeros_like(r)
+    np.cumsum(0.5 * (r[:-1] + r[1:]) * ctx.dt, out=m[1:])
+    return m
+
+
+def _discounter(chunk: _Chunk) -> Callable[[], NDArray[np.float64]]:
+    """The discount factor ``exp(-int_r)`` per path at the walk's current grid point.
+
+    An exact-scheme walk samples ``v`` from its transition law, so ``m_k``
+    (:func:`_mean_int_rate`) is the exact mean of ``int_r`` and the control
+    ``exp(-m_k) (int_r - m_k)``, added here, has mean exactly 0: the rows keep
+    their mean and lose the first-order term of ``exp(-int_r)`` about ``m_k``.
+    Euler walks, whose state mean is biased, stay plain.
+    """
+    if chunk.draw is not None:
+        return lambda: np.exp(-chunk.int_r)
+    m = _mean_int_rate(chunk.ctx)
+    return lambda: np.exp(-chunk.int_r) + math.exp(-m[chunk.k]) * (chunk.int_r - m[chunk.k])
+
+
 def _discount(chunk: _Chunk):
-    """Consumer: the trapezoid discount factor at the horizon."""
-    return _then(chunk, lambda ch: np.exp(-ch.int_r))
+    """Consumer: the trapezoid discount factor at the horizon (:func:`_discounter`)."""
+    disc = _discounter(chunk)
+    return _then(chunk, lambda ch: disc())
 
 
 def _discount_integral(chunk: _Chunk):
-    """Consumer: the trapezoid time integral of the discount factor."""
+    """Consumer: the trapezoid time integral of the discount factor (:func:`_discounter`)."""
+    discounter = _discounter(chunk)
     disc, total = np.ones(chunk.m), np.zeros(chunk.m)
     for _ in range(chunk.n_steps):
         yield
-        new = np.exp(-chunk.int_r)
+        new = discounter()
         total += disc + new
         disc = new
     yield 0.5 * total * chunk.dt
@@ -1076,7 +1103,10 @@ def foc_order(
 
 def _level_means(econ, sim: SimConfig, horizon: float, doublings: int, rows) -> NDArray[np.float64]:
     """Mean of a consumer's per-path rows on ``sim``'s grid and each of ``doublings``
-    finer ones; each chunk of the finest is walked on every level, from summed increments."""
+    finer ones; each chunk of the finest is walked on every level, from summed increments,
+    so an exact-scheme ``sim`` is refused before anything is drawn."""
+    if sim.scheme == "exact":
+        _need_dw(None)
     ctxs = [_SimContext(econ, replace(sim, steps_per_year=sim.steps_per_year * 2**level), horizon)
             for level in range(doublings + 1)]
     _require_nested_grid(ctxs[-1].n_steps, doublings)
@@ -1155,7 +1185,9 @@ def weak_convergence_study(
     consecutive-level differences of the estimates track the deterministic
     part of the discretization error with very little sampling noise.  A
     first-order scheme halves the error per doubling, so the differences
-    halve too and their log-ratio slope is the observed order.
+    halve too and their log-ratio slope is the observed order.  The study
+    always runs the Euler scheme, whatever ``sim.scheme`` says: the exact
+    scheme has no step bias to measure and no increments to couple.
     """
     if doublings < 2:
         raise ValueError("need at least two doublings to measure an order")

@@ -164,9 +164,10 @@ def test_c04_bond_price_oracle():
     econ = reference_economy(2)
     agg = require_valid(econ)
     sol, _ = solve_pair(agg)
-    # plain (non-antithetic) sampling: the Euler state bias at 252 steps
-    # must stay inside the Monte Carlo band, which variance reduction
-    # would shrink past it
+    # only the Euler leg is plain (no antithetics, no control): its state
+    # bias at 252 steps must stay inside the Monte Carlo band, which variance
+    # reduction would shrink past it; the exact leg carries the rate-integral
+    # control, which is exactly unbiased under the transition law
     worst_z = 0.0
     for scheme in ("euler", "exact"):
         for U in (0.25, 0.5, 1.0):

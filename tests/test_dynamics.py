@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from conftest import (
     heterogeneous_economy,
     reference_economy,
 )
+from ivoleq import dynamics
+from ivoleq.config import load_config
 from ivoleq.dynamics import (
     SimConfig,
     cir_mean,
@@ -35,6 +38,8 @@ from ivoleq.dynamics import (
 from ivoleq.equilibrium import annuity_price, bond_price
 from ivoleq.model import EconomyParams, InvestorParams, derive_aggregates
 from ivoleq.riccati import solve_pair
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def small(n_paths=2000, **over) -> SimConfig:
@@ -141,6 +146,57 @@ class TestPricingOracles:
         assert a.value == b.value and a.standard_error == b.standard_error
 
 
+class TestExactSchemeControl:
+    """The exact-scheme oracles add ``exp(-m_k) (int_r - m_k)``, where ``m_k``
+    is the exact mean of the trapezoid rate integral ``int_r`` at t_k."""
+
+    @pytest.mark.parametrize(("name", "measure"), [("oscillatory", "P"), ("table1", "P"),
+                                                   ("table1", "Qmin")])
+    def test_mean_is_the_trapezoid_of_the_state_mean(self, name, measure):
+        econ = load_config(CONFIG_DIR / f"{name}.json")
+        ctx = dynamics._SimContext(econ, small(steps_per_year=48, measure=measure), 1.0)
+        # oscillatory has no mean reversion under P: the affine branch of cir_mean
+        assert (ctx.kappa_eff == 0.0) == (name == "oscillatory")
+        vol, agg = econ.vol, ctx.agg
+        state = [cir_mean(vol.mu_v, ctx.kappa_eff, vol.v0, t) for t in ctx.times]
+        want = [agg.rate_intercept * t
+                + ctx.rate_slope * sum(0.5 * (state[j] + state[j + 1]) * ctx.dt for j in range(k))
+                for k, t in enumerate(ctx.times)]
+        np.testing.assert_allclose(dynamics._mean_int_rate(ctx), want, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize(("name", "measure"), [("oscillatory", "P"), ("table1", "Qmin")])
+    def test_mean_matches_the_exact_walk(self, name, measure):
+        econ = load_config(CONFIG_DIR / f"{name}.json")
+        # four grid points: a 3-SE band at each of dozens would fail by chance
+        # at about one seed in five (the first, short-time sums are nearly independent)
+        sim = small(n_paths=4000, steps_per_year=4, measure=measure, scheme="exact")
+        int_r = simulate(econ, sim).int_rate()
+        m = dynamics._mean_int_rate(dynamics._SimContext(econ, sim, econ.horizon))
+        assert m[0] == 0.0 and not int_r[:, 0].any()
+        se = int_r[:, 1:].std(axis=0, ddof=1) / math.sqrt(sim.n_paths)
+        assert np.all(np.abs(int_r[:, 1:].mean(axis=0) - m[1:]) <= 3.0 * se)
+
+    @pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+    def test_controlled_oracles_match_closed_forms(self, config):
+        econ = load_config(config)
+        agg = derive_aggregates(econ)
+        sol, sol_rep = solve_pair(agg)
+        sim = small(n_paths=20_000, seed=0, scheme="exact")
+        for U in (0.25, 0.5, 1.0):
+            for benchmark, s in ((False, sol), (True, sol_rep)):
+                est = mc_bond_price(econ, U, sim, benchmark=benchmark)
+                assert abs(est.z(bond_price(s, 0.0, U, agg.vol.v0))) <= 3.0, (U, benchmark)
+        est = mc_annuity(econ, sim)
+        assert abs(est.z(annuity_price(sol, 0.0, agg.vol.v0))) <= 3.0
+
+    def test_control_cuts_the_bond_error_thirtyfold(self):
+        econ = load_config(CONFIG_DIR / "table1.json")
+        plan = dynamics._bond_plan(econ, econ.horizon, small(n_paths=20_000, seed=1, scheme="exact"))
+        plain = dynamics._mean_plan(plan.ctx, lambda ch: dynamics._then(ch, lambda ch: np.exp(-ch.int_r)))
+        controlled, uncontrolled = dynamics._run(plan, plain)
+        assert 30.0 * controlled.standard_error <= uncontrolled.standard_error
+
+
 class TestMartingales:
     def test_density_means(self, econ_mixed):
         for label, est in martingale_checks(econ_mixed, small(n_paths=20_000)):
@@ -190,6 +246,16 @@ class TestFirstOrderConditions:
     def test_first_order_in_step_size(self, econ_mixed):
         rep = foc_order(econ_mixed, small(steps_per_year=63), doublings=2)
         assert 0.7 <= rep.order <= 1.3
+
+    def test_order_refuses_the_exact_scheme_before_drawing(self, monkeypatch):
+        # the coarse levels sum the finest grid's increments, which the exact scheme lacks
+        def refuse(*args):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr(dynamics, "_simulate_chunk", refuse)
+        sim = SimConfig(n_paths=16, steps_per_year=16, scheme="exact")
+        with pytest.raises(ValueError, match="the exact scheme does not produce them"):
+            foc_order(heterogeneous_economy(), sim)
 
     def test_rejects_grid_the_levels_cannot_nest(self):
         econ = dataclasses.replace(reference_economy(2), horizon=0.3)
@@ -262,6 +328,11 @@ class TestWeakConvergence:
         assert 0.7 <= rep.order <= 1.3
         diffs = np.asarray(rep.level_diffs)
         assert np.all(diffs[1:] < diffs[:-1])
+
+    def test_runs_euler_whatever_the_scheme(self, econ2):
+        sim = SimConfig(n_paths=200, steps_per_year=16, seed=3)
+        exact = weak_convergence_study(econ2, 0.5, dataclasses.replace(sim, scheme="exact"))
+        assert exact == weak_convergence_study(econ2, 0.5, sim)
 
     def test_rejects_grid_the_levels_cannot_nest(self, econ2):
         # 128 steps a year over 0.3 years is 38 steps, not a multiple of 8

@@ -147,10 +147,19 @@ class TestRowsMatchFullPaths:
     def test_bond_and_annuity_rows(self, benchmark, scheme, seed, antithetic, chunk_size):
         econ, sim, _, _ = _case(seed, antithetic, chunk_size, scheme=scheme)
         U = 0.5 * econ.horizon
-        for (got,), _, bundle in _walked(dynamics._bond_plan(econ, U, sim, benchmark)):
-            _close(got, np.exp(-bundle.int_rate(benchmark)[:, -1]))
-        for (got,), _, bundle in _walked(dynamics._annuity_plan(econ, sim, benchmark)):
-            _close(got, _trapezoid(np.exp(-bundle.int_rate(benchmark)), bundle.dt))
+
+        def disc(chunk, bundle):
+            int_r = bundle.int_rate(benchmark)
+            if scheme == "euler":
+                return np.exp(-int_r)
+            # exact scheme: plus the control exp(-m_k) (int_r - m_k), m_k = E[int_r(t_k)]
+            m = dynamics._mean_int_rate(chunk.ctx)
+            return np.exp(-int_r) + np.exp(-m) * (int_r - m)
+
+        for (got,), chunk, bundle in _walked(dynamics._bond_plan(econ, U, sim, benchmark)):
+            _close(got, disc(chunk, bundle)[:, -1])
+        for (got,), chunk, bundle in _walked(dynamics._annuity_plan(econ, sim, benchmark)):
+            _close(got, _trapezoid(disc(chunk, bundle), bundle.dt))
 
     @given(seed=st.integers(0, 2**31), c0=st.sampled_from([None, 0.3]))
     @settings(max_examples=10, deadline=None)
