@@ -32,16 +32,23 @@ investor, which is what the order-of-convergence check measures.
 Paths are generated in fixed-size chunks, each from its own counter-based
 stream spawned from the run seed, so estimates do not depend on how the
 chunks are scheduled and any chunk can be regenerated in isolation.  Every
-random block is drawn once, and only when a functional reads it.
+random block is drawn once, and only when a functional reads it.  The
+measures differ only in the state drift, so a chunk's increments serve every
+measure, forward horizon and discount rate: ``_run`` walks each chunk it
+draws once per distinct context, and a one-slot memo (``_BLOCKS``) hands the
+last chunk block a chunk loop drew, read-only, to the next chunk loop on the
+same stream instead of drawing it again (common random numbers at no cost
+in accuracy: every estimate equals that of a fresh draw).  :func:`simulate`
+draws its own writable block.
 
-Every check walks each chunk once (``_Chunk.walk``): the state advances a
-step at a time, and the integrals the checks share, ``int v dt``,
-``int sqrt(v) dW`` and the trapezoid ``int r dt``, run as one value per path.
-``_run``, the one chunk loop, feeds each consumer an update at every grid
-point and takes its per-path rows at the horizon (means for estimators,
-maxima for the clearing and first-order-condition residuals), so none holds
-a (paths, steps + 1) array and plans on one stream share one walk.
-:func:`simulate` and ``PathBundle`` store full paths only as the Euler
+Every check walks each chunk once per context (``_Chunk.walk``): the state
+advances a step at a time, and the integrals the checks share,
+``int v dt``, ``int sqrt(v) dW`` and the trapezoid ``int r dt``, run as one
+value per path.  ``_run``, the one chunk loop, feeds each consumer an update
+at every grid point and takes its per-path rows at the horizon (means for
+estimators, maxima for the clearing and first-order-condition residuals), so
+none holds a (paths, steps + 1) array and plans on one context share one
+walk.  :func:`simulate` and ``PathBundle`` store full paths only as the Euler
 reference the walked forms are tested against.
 
 Every investor's consumption and insured income are affine in
@@ -431,6 +438,11 @@ class _Chunk:
         self._w_seed, self.z_seed, self._g_seed = seeds
         self._v0 = np.full(m, ctx.econ.vol.v0) if v0 is None else v0
 
+    def under(self, ctx: _SimContext) -> _Chunk:
+        """This chunk's increments and streams, walked with ``ctx``'s drift and rate."""
+        seeds = self._w_seed, self.z_seed, self._g_seed
+        return _Chunk(ctx, self.m, self.dW, seeds, self.antithetic_pairs)
+
     def log_xi(self) -> NDArray[np.float64]:
         """Log of the state-price density ``xi_min`` at the current grid point."""
         mpr = self.ctx.agg.mpr_loading
@@ -515,18 +527,59 @@ def _then(chunk: _Chunk, fn, *parts):
     yield fn(chunk, *(next(p) for p in parts))
 
 
-def _simulate_chunk(ctx: _SimContext, seed, m: int) -> _Chunk:
-    """A chunk with its state increments drawn in place; its walk generates the state."""
+class _BlockMemo:
+    """The last increment block drawn, read-only, under the key that fixes it.
+
+    One slot: a hit returns the held block, and a miss empties the slot
+    before drawing, so at most one block is held between calls and no two
+    are alive at once.  A block drawn without a key (the single chunk of
+    :func:`simulate` and of the budget check) is neither held nor read-only.
+    """
+
+    slot: tuple | None = None
+
+    def get(self, key, draw: Callable[[], NDArray[np.float64]]) -> NDArray[np.float64]:
+        held = self.slot
+        if key is not None and held is not None and held[0] == key:
+            return held[1]
+        self.slot = held = None  # release the held block before drawing
+        block = draw()
+        if key is not None:
+            block.flags.writeable = False
+            self.slot = key, block
+        return block
+
+
+_BLOCKS = _BlockMemo()
+
+
+def _simulate_chunk(ctx: _SimContext, seed, m: int, memo: bool = True) -> _Chunk:
+    """A chunk with its state increments drawn in place; its walk generates the state.
+
+    With ``memo`` (the chunks of :func:`_iter_chunks`, at most ``chunk_size``
+    paths) the block goes through ``_BLOCKS``: the held block when the last
+    block drawn has the same key, else a fresh draw that the memo then holds.
+    """
     # state, idiosyncratic (read only by PathBundle) and belief streams; a
     # child depends only on its index, so the belief stream stays child 2
     seeds = seed.spawn(3)
     if ctx.sim.scheme == "exact":
         return _Chunk(ctx, m, None, seeds)
-    dW = np.empty((m, ctx.n_steps))
-    half = _draw_increments(_philox(seeds[0]), dW[: m // 2] if ctx.sim.antithetic else dW, ctx.dt)
-    if ctx.sim.antithetic:
-        np.negative(half, out=dW[m // 2 :])
-    return _Chunk(ctx, m, dW, seeds, ctx.sim.antithetic)
+    antithetic = ctx.sim.antithetic
+
+    def draw() -> NDArray[np.float64]:
+        dW = np.empty((m, ctx.n_steps))
+        half = _draw_increments(_philox(seeds[0]), dW[: m // 2] if antithetic else dW, ctx.dt)
+        if antithetic:
+            np.negative(half, out=dW[m // 2 :])
+        return dW
+
+    # everything the block depends on: the state stream's seed and the shape,
+    # step length and mirroring of the draw
+    w = seeds[0]
+    key = (w.entropy, w.spawn_key, w.pool_size, m, ctx.n_steps, ctx.dt, antithetic)
+    dW = _BLOCKS.get(key if memo else None, draw)
+    return _Chunk(ctx, m, dW, seeds, antithetic)
 
 
 def _bundle(chunk: _Chunk) -> PathBundle:
@@ -557,10 +610,14 @@ def simulate(
 
 
 def _one_chunk(econ: EconomyParams, sim: SimConfig, horizon: float | None = None) -> _Chunk:
-    """The paths of :func:`simulate` as one chunk, to walk instead of store."""
+    """The paths of :func:`simulate` as one chunk, to walk instead of store.
+
+    Its block is always a fresh, writable draw: the memo serves only the
+    chunk loops.
+    """
     ctx = _SimContext(econ, sim, econ.horizon if horizon is None else horizon)
     seed = np.random.SeedSequence(sim.seed).spawn(1)[0]
-    return _simulate_chunk(ctx, seed, sim.n_paths)
+    return _simulate_chunk(ctx, seed, sim.n_paths, memo=False)
 
 
 class _Moments:
@@ -633,21 +690,37 @@ class _Plan:
     acc: Callable[[], Any] = _Moments
 
 
-def _run(*plans: _Plan) -> list:
-    """The one chunk loop: one walk of each chunk of a shared stream feeds every consumer.
+def _stream(ctx: _SimContext) -> tuple:
+    """What fixes a context's chunks of increments and random streams."""
+    sim = ctx.sim
+    return (ctx.econ, sim.seed, sim.n_paths, sim.chunk_size, ctx.n_steps, ctx.horizon,
+            sim.scheme, sim.antithetic)
 
-    The plans must walk the same stream (economy, settings, horizon and
-    rate).  Returns each plan's result.
+
+def _run(*plans: _Plan) -> list:
+    """The one chunk loop: each chunk of a shared stream is drawn once and
+    walked once per context, and each walk feeds every consumer on that context.
+
+    The plans must share one increment stream (:func:`_stream`: economy,
+    seed, paths, chunk size, steps, horizon, scheme and antithetic flag);
+    they may differ in measure, forward horizon or rate slope, which only
+    the walk reads.  Every context walks the same increments, so each result
+    equals that of its plan run alone.  Returns each plan's result.
     """
-    ctx = plans[0].ctx
-    key = (ctx.econ, ctx.sim, ctx.horizon, ctx.rate_slope)
-    if any((p.ctx.econ, p.ctx.sim, p.ctx.horizon, p.ctx.rate_slope) != key for p in plans[1:]):
+    key = _stream(plans[0].ctx)
+    if any(_stream(p.ctx) != key for p in plans[1:]):
         raise ValueError("plans on different path streams cannot share a chunk loop")
+    walks: dict[tuple, tuple[_SimContext, list[int]]] = {}  # plan indices by walk context
+    for j, p in enumerate(plans):
+        walks.setdefault((p.ctx.sim, p.ctx.rate_slope), (p.ctx, []))[1].append(j)
     accs = [p.acc() for p in plans]
-    for chunk in _iter_chunks(ctx):
-        for acc, rows in zip(accs, _walk_rows(chunk, [p.rows for p in plans])):
-            acc.add(rows, chunk.antithetic_pairs)
-        del chunk  # free this chunk's increments before the next chunk is drawn
+    for chunk in _iter_chunks(plans[0].ctx):
+        for ctx, idx in walks.values():
+            for j, rows in zip(idx, _walk_rows(chunk.under(ctx), [plans[j].rows for j in idx])):
+                accs[j].add(rows, chunk.antithetic_pairs)
+        # drop the chunk before the next is drawn: then only _BLOCKS holds its
+        # increments, and a miss there frees them before drawing new ones
+        del chunk
     return [p.finish(acc) for p, acc in zip(plans, accs)]
 
 
@@ -1117,6 +1190,7 @@ def _level_means(econ, sim: SimConfig, horizon: float, doublings: int, rows) -> 
             lv = chunk if factor == 1 else _coarse(ctx, chunk.dW, factor)
             sums[level] += float(_walk_rows(lv, [rows])[0].sum())
         n += chunk.m
+        del chunk, lv  # as in _run: only _BLOCKS holds the increments at the next draw
     return sums / n
 
 

@@ -20,7 +20,10 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from .dynamics import SimConfig, _affine_coeffs, _Chunk, _log_exp_martingale, _one_chunk, _walk_rows
+from .dynamics import (
+    SimConfig, _affine_coeffs, _Chunk, _log_exp_martingale, _Max, _Moments, _Plan, _run,
+    _SimContext, _then,
+)
 from .equilibrium import QUAD_NODES_PER_PANEL, discrete_mpr, quad_nodes
 from .model import AggregateParams, EconomyParams, require_valid
 from .riccati import RiccatiSolution, market_coeffs, solve_closed_form
@@ -141,34 +144,56 @@ class TerminalClearingReport:
     dt: float
 
 
-def _terminal_paths(
-    econ: EconomyParams, agg: AggregateParams, sol: RiccatiSolution, chunk: _Chunk
-):
-    """The investors' insured-income rows, and per path the log terminal
-    deflator and the walk's basis at the horizon.
+class _MeansAndRange(_Moments):
+    """Chunk-merged means of every row, and the running maximum of the last two."""
 
-    One walk of the chunk gives both path quantities.  The deflator is the
-    left-point exponential martingale loading the terminal price of risk on
-    the traded shock.  Insured income carries no idiosyncratic term, so
-    nothing here draws idiosyncratic increments: investor i's terminal
-    insured income is its row ``y_i`` of ``dynamics._affine_coeffs`` times
-    the basis,
+    def __init__(self) -> None:
+        super().__init__()
+        self.peak = _Max()
+
+    def add(self, vals, paired: bool = False) -> None:
+        super().add(vals, paired)
+        self.peak.add(vals[-2:])
+
+
+def _terminal_plan(
+    econ: EconomyParams, agg: AggregateParams, sol: RiccatiSolution, sim: SimConfig
+) -> _Plan:
+    """Plan of the terminal checks: its result is the multipliers and the merged rows.
+
+    One walk per chunk gives, per path, the log terminal deflator
+    ``log xi_T``, the left-point exponential martingale loading the terminal
+    price of risk on the traded shock, and the walk's basis at the horizon.
+    Insured income carries no idiosyncratic term, so nothing here draws
+    idiosyncratic increments: investor i's terminal insured income is its
+    row ``y_i`` of ``dynamics._affine_coeffs`` times the basis,
     ``Y0 + mu_Y T + (kappa_Y - beta_Y**2 / (2 tau)) int v dt + sigma_Y int sqrt(v) dW``.
+    The rows are ``xi``, ``xi log xi`` and the four rows of ``xi basis_T``,
+    whose means give the multipliers, then
+    ``f = tau_total log xi_T + (sum_i y_i) . basis_T`` and ``-f``, whose
+    running maxima bound the clearing residual.
     """
-    coeff = terminal_mpr(sol, agg, chunk.times[:-1], econ.horizon)
-    (log_xi,) = _walk_rows(chunk, [lambda ch: _log_exp_martingale(ch, coeff)])
-    return _affine_coeffs(agg, econ.investors)[1], log_xi, chunk.basis()
+    ctx = _SimContext(econ, sim, econ.horizon)
+    coeff = terminal_mpr(sol, agg, ctx.times[:-1], econ.horizon)
+    income = _affine_coeffs(agg, econ.investors)[1]
+    loading = income.sum(axis=0)
+
+    def rows(ch: _Chunk, log_xi):
+        xi, basis = np.exp(log_xi), ch.basis()
+        f = agg.tau_total * log_xi + loading @ basis
+        return np.vstack([xi, xi * log_xi, xi * basis, f, -f])
+
+    return _Plan(ctx, lambda ch: _then(ch, rows, _log_exp_martingale(ch, coeff)),
+                 lambda acc: (_multipliers(econ, income, acc), acc), _MeansAndRange)
 
 
-def _multipliers(econ: EconomyParams, income, log_xi, basis_end) -> TerminalMultipliers:
-    """Multipliers from the terminal budgets (arguments as :func:`_terminal_paths`
-    returns them): ``E[xi Y_i(T)] = y_i . E[xi basis_T]``."""
-    xi = np.exp(log_xi)
-    xi_mean = float(xi.mean())
-    xi_log = float((xi * log_xi).mean())
+def _multipliers(econ: EconomyParams, income, acc: _MeansAndRange) -> TerminalMultipliers:
+    """Multipliers from the terminal budgets, on :func:`_terminal_plan`'s merged
+    rows: ``E[xi Y_i(T)] = y_i . E[xi basis_T]``."""
+    xi_mean, xi_log = float(acc.mean[0]), float(acc.mean[1])
     x0 = np.array([inv.X0 for inv in econ.investors])
     taus = np.array([inv.tau for inv in econ.investors])
-    intercept = (x0 + taus * xi_log + income @ (xi * basis_end).mean(axis=1)) / xi_mean
+    intercept = (x0 + taus * xi_log + income @ acc.mean[2:6]) / xi_mean
     alpha = np.exp(-intercept / taus) / taus
     if not np.all(np.isfinite(alpha)):
         raise ArithmeticError("terminal multiplier estimate is not finite")
@@ -183,13 +208,13 @@ def solve_terminal_multipliers(econ: EconomyParams, sim: SimConfig) -> TerminalM
     The budget pins the deflator-weighted expectation of terminal wealth to
     the initial endowment, and terminal wealth is affine in the multiplier's
     log, so each multiplier solves a one-line linear equation in three Monte
-    Carlo moments, on one walk of the paths ``sim`` sets.
+    Carlo moments, merged over the chunks of the paths ``sim`` sets.
     """
     agg = require_valid(econ)
     if sim.measure != "P":
         raise ValueError("terminal multipliers are estimated on physical-measure paths")
     sol = solve_closed_form(market_coeffs(agg), econ.horizon)
-    return _multipliers(econ, *_terminal_paths(econ, agg, sol, _one_chunk(econ, sim)))
+    return _run(_terminal_plan(econ, agg, sol, sim))[0][0]
 
 
 def verify_terminal_clearing(
@@ -201,9 +226,10 @@ def verify_terminal_clearing(
     less ``tau log xi_T`` and its terminal insured income, so the sum is
     ``sum_i intercept_i - tau_total log xi_T - (sum_i y_i) . basis_T``: no
     per-investor path is formed.  The worst pathwise deviation of the sum is
-    reported.  Everything is assembled from one walk of shared paths so the
-    cancellation fails only through the first-order bias of the left-point
-    sums.
+    reported.  Everything is assembled from one walk of each chunk of shared
+    paths, so the cancellation fails only through the first-order bias of
+    the left-point sums; the walk keeps only the running extremes of the
+    path-dependent part of the sum.
     """
     agg = require_valid(econ)
     if sim.measure != "P":
@@ -211,17 +237,18 @@ def verify_terminal_clearing(
     if sim.scheme != "euler":
         raise ValueError("terminal clearing needs Brownian increments; use the euler scheme")
     sol = solve_closed_form(market_coeffs(agg), econ.horizon)
-    chunk = _one_chunk(econ, sim)
-    income, log_xi, basis_end = _terminal_paths(econ, agg, sol, chunk)
-    mult = _multipliers(econ, income, log_xi, basis_end)
-    total = mult.intercept.sum() - agg.tau_total * log_xi - income.sum(axis=0) @ basis_end
+    plan = _terminal_plan(econ, agg, sol, sim)
+    mult, acc = _run(plan)[0]
+    # the residual A - f is monotone in f, so its largest size is at f's extremes
+    total = mult.intercept.sum()
+    f_max, f_min = acc.peak.value[0], -acc.peak.value[1]
     t_grid = np.linspace(0.0, econ.horizon, loading_grid)
     gap = max(abs(wealth_sum_loading(sol, agg, t, econ.horizon)) for t in t_grid)
     return TerminalClearingReport(
-        max_residual=float(np.max(np.abs(total))),
-        mean_residual=float(total.mean()),
+        max_residual=float(max(abs(total - f_min), abs(total - f_max))),
+        mean_residual=float(total - acc.mean[-2]),
         loading_gap=gap,
         multipliers=mult,
-        n_paths=chunk.m,
-        dt=chunk.dt,
+        n_paths=sim.n_paths,
+        dt=plan.ctx.dt,
     )

@@ -14,8 +14,9 @@ root::
 
     PYTHONPATH=src python tests/test_mc_golden.py
 
-Do so only when a change alters the random stream or the discretization on
-purpose, and record why.
+It rewrites only the entries the test would report as moved and keeps every
+other stored value as it is.  Do so only when a change alters the random
+stream or the discretization on purpose, and record why.
 """
 
 from __future__ import annotations
@@ -129,18 +130,25 @@ def capture() -> dict[str, list[float]]:
     return {k: [float(x) for x in v] for k, v in out.items()}
 
 
+def _moved(key: str, got: list[float], want: list[float]) -> bool:
+    """Whether fresh values ``got`` of ``key`` differ from the stored ``want``."""
+    rtol, atol = (0.0, ROUNDOFF_ATOL) if key in ROUNDOFF_KEYS else (RTOL, 0.0)
+    return len(got) != len(want) or not np.allclose(got, want, rtol=rtol, atol=atol)
+
+
 def test_matches_golden():
     golden = json.loads(GOLDEN.read_text())
     got = capture()
     assert sorted(got) == sorted(golden)
-    moved = []
-    for key, want in golden.items():
-        rtol, atol = (0.0, ROUNDOFF_ATOL) if key in ROUNDOFF_KEYS else (RTOL, 0.0)
-        if len(got[key]) != len(want) or not np.allclose(got[key], want, rtol=rtol, atol=atol):
-            moved.append(f"{key}: got {got[key]}, golden {want}")
+    moved = [f"{key}: got {got[key]}, golden {want}"
+             for key, want in golden.items() if _moved(key, got[key], want)]
     assert not moved, "\n".join(moved)
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(capture(), indent=1, sort_keys=True) + "\n")
+    # keep every stored entry the fresh capture matches, so only moved ones change
+    stored = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    fresh = {key: stored[key] if key in stored and not _moved(key, got, stored[key]) else got
+             for key, got in capture().items()}
+    GOLDEN.write_text(json.dumps(fresh, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}")

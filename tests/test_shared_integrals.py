@@ -238,17 +238,19 @@ class TestRowsMatchFullPaths:
     @settings(max_examples=20, deadline=None)
     def test_terminal_rows(self, seed, antithetic, chunk_size):
         econ, sim, agg, sol = _case(seed, antithetic, chunk_size)
-        for chunk in dynamics._iter_chunks(dynamics._SimContext(econ, sim, econ.horizon)):
-            bundle = dynamics._bundle(chunk)
+        income = dynamics._affine_coeffs(agg, econ.investors)[1]
+        for (got,), _, bundle in _walked(terminal._terminal_plan(econ, agg, sol, sim)):
             coeff = terminal.terminal_mpr(sol, agg, bundle.times[:-1], econ.horizon)
-            income, log_xi, basis_end = terminal._terminal_paths(econ, agg, sol, chunk)
             root = np.sqrt(bundle.v[:, :-1])
-            want = -np.cumsum(coeff * root * bundle.dW, axis=1)[:, -1] - 0.5 * np.cumsum(
+            log_xi = -np.cumsum(coeff * root * bundle.dW, axis=1)[:, -1] - 0.5 * np.cumsum(
                 coeff**2 * bundle.v[:, :-1] * bundle.dt, axis=1
             )[:, -1]
-            _close(log_xi, want)
-            for i in range(econ.n_investors):
-                _close(income[i] @ basis_end, bundle.insured_income(i)[:, -1])
+            xi = np.exp(log_xi)
+            y_end = np.stack([bundle.insured_income(i)[:, -1] for i in range(econ.n_investors)])
+            _close(got[:2], np.stack([xi, xi * log_xi]))
+            _close(income @ got[2:6], xi * y_end)
+            f = agg.tau_total * log_xi + y_end.sum(axis=0)
+            _close(got[6:], np.stack([f, -f]))
 
 
 def _full_clearing(bundle) -> np.ndarray:

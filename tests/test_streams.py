@@ -1,11 +1,14 @@
 """Random blocks drawn once and only where read: the idiosyncratic
 increments of the full-path reference, the increment-free pathwise and
-terminal checks, and shared chunk loops."""
+terminal checks, shared chunk loops across measures, the one-block memo
+across calls, and blocks bounded by the chunk size."""
 
 from __future__ import annotations
 
+import dataclasses
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,12 +19,19 @@ from ivoleq.dynamics import (
     SimConfig,
     foc_order,
     martingale_checks,
+    mc_annuity,
+    mc_bond_price,
+    mc_risk_premium,
+    mc_state_mean,
     simulate,
+    solve_multipliers,
     verify_budget_martingale,
     verify_clearing,
     verify_foc,
+    verify_forward_measure,
+    weak_convergence_study,
 )
-from ivoleq.terminal import verify_terminal_clearing
+from ivoleq.terminal import solve_terminal_multipliers, verify_terminal_clearing
 
 
 def _sim(**over) -> SimConfig:
@@ -155,18 +165,153 @@ class TestSharedChunkLoop:
             )
 
     def test_previous_chunk_is_freed_before_the_next(self, monkeypatch):
-        simulate_chunk = dynamics._simulate_chunk
-        made = []
+        # the memo holds the last block until the next draw, which empties it
+        # first: no earlier chunk is alive when a chunk is made, and no other
+        # block when a block is drawn
+        simulate_chunk, draw_increments = dynamics._simulate_chunk, dynamics._draw_increments
+        chunks, blocks = [], []
 
-        def spy(ctx, seed, m):
-            assert all(ref() is None for ref in made), "a previous chunk is alive"
+        def chunk_spy(ctx, seed, m):
+            assert all(ref() is None for ref in chunks), "a previous chunk is alive"
             chunk = simulate_chunk(ctx, seed, m)
-            made.extend([weakref.ref(chunk), weakref.ref(chunk.dW)])
+            chunks.append(weakref.ref(chunk))
             return chunk
 
-        monkeypatch.setattr(dynamics, "_simulate_chunk", spy)
+        def draw_spy(gen, out, dt):
+            assert dynamics._BLOCKS.slot is None, "the memo holds a block at a draw"
+            assert all(ref() is None for ref in blocks), "another block is alive"
+            blocks.append(weakref.ref(out if out.base is None else out.base))
+            return draw_increments(gen, out, dt)
+
+        monkeypatch.setattr(dynamics._BLOCKS, "slot", None)
+        monkeypatch.setattr(dynamics, "_simulate_chunk", chunk_spy)
+        monkeypatch.setattr(dynamics, "_draw_increments", draw_spy)
         martingale_checks(heterogeneous_economy(), _sim(chunk_size=16))
-        assert len(made) == 2 * 4
+        assert len(chunks) == len(blocks) == 4
+
+    @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
+    @pytest.mark.parametrize("streams", ["P_and_Qmin", "QU_and_P", "exact_P_and_Qmin"])
+    def test_measures_on_one_stream_equal_separate_runs(self, monkeypatch, streams, antithetic):
+        econ = heterogeneous_economy()
+        sim = _sim(chunk_size=16, antithetic=antithetic)
+        plans = {
+            "P_and_Qmin": lambda: [
+                dynamics._martingale_plan(econ, sim),
+                dynamics._multipliers_plan(econ, sim),
+                dynamics._bond_plan(econ, econ.horizon, sim),
+                dynamics._bond_plan(econ, econ.horizon, sim, benchmark=True),
+                dynamics._annuity_plan(econ, sim),
+            ],
+            "QU_and_P": lambda: [
+                plan for sec in ("bond", "annuity") for plan in (
+                    dynamics._forward_plan(econ, 0.5, sim, sec),
+                    dynamics._premium_plan(econ, 0.5, sec, sim))
+            ],
+            "exact_P_and_Qmin": lambda: [
+                dynamics._bond_plan(econ, econ.horizon, replace(sim, scheme="exact")),
+                dynamics._annuity_plan(econ, replace(sim, scheme="exact")),
+                dynamics._mean_plan(
+                    dynamics._SimContext(econ, replace(sim, scheme="exact"), econ.horizon),
+                    lambda ch: dynamics._then(ch, lambda ch: ch.v)),
+            ],
+        }[streams]
+        shared = dynamics._run(*plans())
+        alone = []
+        for plan in plans():
+            monkeypatch.setattr(dynamics._BLOCKS, "slot", None)  # a fresh draw
+            alone.append(dynamics._run(plan)[0])
+        assert _flat(shared) == _flat(alone)
+
+
+def _flat(result) -> list[float]:
+    """Every number of a (nested) result, in order."""
+    if dataclasses.is_dataclass(result):
+        result = [getattr(result, f.name) for f in dataclasses.fields(result)]
+    if isinstance(result, (list, tuple, np.ndarray)):
+        return [x for item in result for x in _flat(item)]
+    return [result]
+
+
+def _block(econ, sim: SimConfig) -> np.ndarray:
+    """The increments of the first chunk of ``sim``'s stream."""
+    ctx = dynamics._SimContext(econ, sim, econ.horizon)
+    return dynamics._simulate_chunk(ctx, np.random.SeedSequence(sim.seed).spawn(1)[0],
+                                    sim.n_paths).dW
+
+
+class TestBlockMemo:
+    def test_hit_is_the_held_block_read_only_and_equal_to_a_fresh_draw(self, monkeypatch):
+        econ, sim = reference_economy(2), _sim(n_paths=32)
+        monkeypatch.setattr(dynamics._BLOCKS, "slot", None)
+        first = _block(econ, sim)
+        hit = _block(econ, sim)
+        assert hit is first and not hit.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            hit[0, 0] = 0.0
+        monkeypatch.setattr(dynamics._BLOCKS, "slot", None)
+        fresh = _block(econ, sim)
+        assert fresh is not hit and np.array_equal(fresh, hit)
+
+    @pytest.mark.parametrize(
+        "over", [dict(seed=6), dict(n_paths=30), dict(steps_per_year=25), dict(antithetic=True)],
+        ids=["seed", "paths", "steps", "antithetic"],
+    )
+    def test_another_stream_misses_and_replaces_the_held_block(self, monkeypatch, over):
+        econ, base = reference_economy(2), _sim(n_paths=32)
+        held = _block(econ, base)
+        other = _block(econ, replace(base, **over))
+        assert other is not held and not np.shares_memory(other, held)
+        assert dynamics._BLOCKS.slot[1] is other
+        monkeypatch.setattr(dynamics._BLOCKS, "slot", None)
+        assert np.array_equal(_block(econ, replace(base, **over)), other)
+        assert not np.array_equal(_block(econ, base), other)
+
+    @pytest.mark.parametrize("chunk_size", [8192, 16], ids=["one_chunk", "above_chunk_size"])
+    def test_simulate_draws_a_fresh_writable_block(self, chunk_size):
+        # the memo serves only the chunk loops: simulate's block, on the
+        # stream of the held block or not, is its own and is not held
+        econ, sim = reference_economy(2), _sim(n_paths=32, chunk_size=chunk_size)
+        held = _block(econ, replace(sim, chunk_size=8192))
+        first, second = simulate(econ, sim).dW, simulate(econ, sim).dW
+        assert dynamics._BLOCKS.slot is None
+        assert first.flags.writeable and np.array_equal(first, held)
+        assert not np.shares_memory(first, held) and not np.shares_memory(first, second)
+        first *= 2.0
+
+
+_ESTIMATORS = {
+    "mc_state_mean": mc_state_mean,
+    "mc_bond_price": lambda econ, sim: mc_bond_price(econ, 1.0, sim),
+    "mc_bond_price.exact": lambda econ, sim: mc_bond_price(econ, 1.0, replace(sim, scheme="exact")),
+    "mc_annuity": mc_annuity,
+    "verify_forward_measure": lambda econ, sim: verify_forward_measure(econ, 0.5, sim, "annuity"),
+    "mc_risk_premium": lambda econ, sim: mc_risk_premium(econ, 0.5, "annuity", sim),
+    "martingale_checks": martingale_checks,
+    "solve_multipliers": solve_multipliers,
+    "verify_clearing": verify_clearing,
+    "verify_foc": verify_foc,
+    "foc_order": lambda econ, sim: foc_order(econ, replace(sim, steps_per_year=16)),
+    "weak_convergence_study": lambda econ, sim: weak_convergence_study(
+        econ, 0.5, replace(sim, steps_per_year=8)),
+    "verify_terminal_clearing": verify_terminal_clearing,
+    "solve_terminal_multipliers": solve_terminal_multipliers,
+}
+
+
+@pytest.mark.parametrize("name", _ESTIMATORS)
+def test_no_check_draws_a_chunk_above_chunk_size(monkeypatch, name):
+    simulate_chunk = dynamics._simulate_chunk
+    sizes = []
+
+    def spy(ctx, seed, m):
+        sizes.append(m)
+        return simulate_chunk(ctx, seed, m)
+
+    monkeypatch.setattr(dynamics, "_simulate_chunk", spy)
+    _ESTIMATORS[name](heterogeneous_economy(), _sim(chunk_size=16))
+    assert len(sizes) >= 4 and max(sizes) <= 16
+    held = dynamics._BLOCKS.slot
+    assert held is None or held[1].shape[0] <= 16
 
 
 class TestIncrementDraw:

@@ -13,10 +13,11 @@ from conftest import (
     draw_valid_economy,
     reference_economy,
 )
+from ivoleq import dynamics
 from ivoleq.dynamics import SimConfig
 from ivoleq.equilibrium import discrete_mpr
 from ivoleq.model import EconomyParams, derive_aggregates, require_valid
-from ivoleq.riccati import solve_pair
+from ivoleq.riccati import market_coeffs, solve_closed_form, solve_pair
 from ivoleq.terminal import (
     solve_terminal_multipliers,
     terminal_equilibrium,
@@ -150,6 +151,41 @@ class TestClearing:
         )
         rep = verify_terminal_clearing(econ, sim())
         assert rep.max_residual <= rep.dt
+
+    @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
+    @pytest.mark.parametrize("seed", [1, 5])
+    def test_chunked_equals_one_block_on_the_same_paths(self, econ_mixed, seed, antithetic):
+        # above chunk_size the multipliers come from chunk-merged means and the
+        # residual from running extremes; the one-block formulas applied to
+        # the same paths, concatenated in full, give the same values (the
+        # largest residual sits at the smallest f on the plain seed-1 paths
+        # and at the largest on the other cases)
+        econ = econ_mixed
+        s = sim(n_paths=300, chunk_size=64, seed=seed, antithetic=antithetic)
+        rep = verify_terminal_clearing(econ, s)
+        agg = require_valid(econ)
+        sol = solve_closed_form(market_coeffs(agg), econ.horizon)
+        log_xi, y_end = [], []
+        for chunk in dynamics._iter_chunks(dynamics._SimContext(econ, s, econ.horizon)):
+            b = dynamics._bundle(chunk)
+            coeff = terminal_mpr(sol, agg, b.times[:-1], econ.horizon)
+            v = b.v[:, :-1]
+            log_xi.append(-(coeff * np.sqrt(v) * b.dW).sum(axis=1)
+                          - 0.5 * (coeff**2 * v * b.dt).sum(axis=1))
+            y_end.append([b.insured_income(i)[:, -1] for i in range(econ.n_investors)])
+        log_xi, y_end = np.concatenate(log_xi), np.concatenate(y_end, axis=1)
+        xi = np.exp(log_xi)
+        x0 = np.array([inv.X0 for inv in econ.investors])
+        taus = np.array([inv.tau for inv in econ.investors])
+        intercept = (x0 + taus * (xi * log_xi).mean() + (xi * y_end).mean(axis=1)) / xi.mean()
+        total = intercept.sum() - agg.tau_total * log_xi - y_end.sum(axis=0)
+        mult = rep.multipliers
+        np.testing.assert_allclose(mult.intercept, intercept, rtol=1e-12)
+        np.testing.assert_allclose(mult.alpha, np.exp(-intercept / taus) / taus, rtol=1e-11)
+        assert mult.deflator_mean == pytest.approx(xi.mean(), rel=1e-12)
+        assert rep.max_residual == pytest.approx(np.abs(total).max(), rel=1e-9)
+        assert rep.mean_residual == pytest.approx(total.mean(), rel=1e-9, abs=1e-12)
+        assert (rep.n_paths, rep.dt) == (300, b.dt)
 
     def test_requires_euler_paths(self, econ2):
         with pytest.raises(ValueError):
