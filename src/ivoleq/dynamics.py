@@ -221,6 +221,9 @@ class _SimContext:
         self.kappa_eff = kappa_eff
         # the spot rate the walk discounts at: full insurance for the benchmark
         self.rate_slope = self.agg.rate_slope_rep if benchmark else self.agg.rate_slope
+        # the exact walk's discount control, fixed here so that a walk calls
+        # no public function (verify runs it on a worker thread)
+        self.mean_int_rate = _mean_int_rate(self) if sim.scheme == "exact" else None
 
         if sim.antithetic and sim.scheme == "euler" and sim.n_paths % 2:
             raise ValueError("antithetic sampling needs an even n_paths")
@@ -743,14 +746,15 @@ def _discounter(chunk: _Chunk) -> Callable[[], NDArray[np.float64]]:
     """The discount factor ``exp(-int_r)`` per path at the walk's current grid point.
 
     An exact-scheme walk samples ``v`` from its transition law, so ``m_k``
-    (:func:`_mean_int_rate`) is the exact mean of ``int_r`` and the control
+    (:func:`_mean_int_rate`, computed once per context as
+    ``ctx.mean_int_rate``) is the exact mean of ``int_r`` and the control
     ``exp(-m_k) (int_r - m_k)``, added here, has mean exactly 0: the rows keep
     their mean and lose the first-order term of ``exp(-int_r)`` about ``m_k``.
     Euler walks, whose state mean is biased, stay plain.
     """
     if chunk.draw is not None:
         return lambda: np.exp(-chunk.int_r)
-    m = _mean_int_rate(chunk.ctx)
+    m = chunk.ctx.mean_int_rate
     return lambda: np.exp(-chunk.int_r) + math.exp(-m[chunk.k]) * (chunk.int_r - m[chunk.k])
 
 
@@ -788,8 +792,13 @@ def _log_exp_martingale(chunk: _Chunk, coeff):
 # state-law checks
 
 
-def cir_mean(mu: float, kappa: float, v0: float, t) -> float:
-    """Mean of the square-root process: solution of m' = mu + kappa m."""
+def cir_mean(
+    mu: float, kappa: float, v0: float, t: float | NDArray[np.float64]
+) -> float | NDArray[np.float64]:
+    """Mean of the square-root process at ``t``: solution of m' = mu + kappa m.
+
+    Elementwise: a float for a scalar ``t``, an array for an array.
+    """
     if kappa == 0.0:
         return v0 + mu * t
     theta = -mu / kappa

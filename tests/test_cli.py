@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import csv
+import functools
+import inspect
 import json
+import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -13,11 +17,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ivoleq.cli import main
+from ivoleq import dynamics
+from ivoleq.cli import _verify_suite, main
 from ivoleq import __version__
-from ivoleq.equilibrium import discrete_mpr_gap, mpr_curve, term_structure
-from ivoleq.model import derive_aggregates, validate
+from ivoleq.dynamics import PathBundle, SimConfig, mc_bond_price
+from ivoleq.equilibrium import bond_price, discrete_mpr_gap, mpr_curve, term_structure
+from ivoleq.model import derive_aggregates, require_valid, validate
 from ivoleq.config import load_config
+from ivoleq.riccati import RiccatiSolution, solve_pair
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = str(ROOT / "configs" / "table1.json")
@@ -261,6 +268,95 @@ class TestVerifyCommands:
         out = capsys.readouterr().out
         assert "schedule_start_matches_window_coefficient" in out
         assert "terminal_clearing_residual" in out
+
+
+class Boom(Exception):
+    """Raised by a patched chunk loop."""
+
+
+def _failing_run(monkeypatch, scheme: str) -> None:
+    """Make ``dynamics._run`` raise ``Boom`` for plans of ``scheme``."""
+    real = dynamics._run
+
+    def run(*plans):
+        if plans[0].ctx.sim.scheme == scheme:
+            raise Boom(scheme)
+        return real(*plans)
+
+    monkeypatch.setattr(dynamics, "_run", run)
+
+
+class TestExactBondWorker:
+    """``verify`` runs the exact-scheme bond on one worker thread."""
+
+    def test_value_and_se_equal_a_direct_call(self):
+        econ = load_config(CONFIG)
+        start = threading.active_count()
+        # 9000 paths: two chunks at the default chunk size
+        checks = {c.name: c for c in _verify_suite(econ, "all", 4, 9000)}
+        assert threading.active_count() == start
+        direct = mc_bond_price(
+            econ, econ.horizon, SimConfig(n_paths=9000, seed=4, antithetic=False, scheme="exact")
+        )
+        sol, _ = solve_pair(require_valid(econ))
+        check = checks["bond_exact_vs_closed"]
+        assert check.standard_error == direct.standard_error
+        assert check.value == direct.z(bond_price(sol, 0.0, econ.horizon, econ.vol.v0))
+        assert check.elapsed > 0.0
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        _failing_run(monkeypatch, "exact")
+        start = threading.active_count()
+        with pytest.raises(Boom, match="exact"):
+            _verify_suite(load_config(CONFIG), "bond", 1, 500)
+        assert threading.active_count() == start
+
+    def test_worker_is_joined_when_an_euler_stream_raises(self, monkeypatch):
+        _failing_run(monkeypatch, "euler")
+        start = threading.active_count()
+        with pytest.raises(Boom, match="euler"):
+            _verify_suite(load_config(CONFIG), "all", 1, 500)
+        assert threading.active_count() == start
+
+    def test_worker_calls_no_public_function_and_never_the_memo(self, monkeypatch, capsys):
+        """The benchmark tracer keeps one span stack for public calls and the
+        block memo is a global: neither may be reached from the worker."""
+        calls: list[tuple[str, int]] = []
+
+        def record(name, fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.get_ident()))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        modules = [m for n, m in sys.modules.items() if n == "ivoleq" or n.startswith("ivoleq.")]
+        wrappers = {
+            id(fn): record(f"{mod.__name__}.{attr}", fn)
+            for mod in modules
+            for attr, fn in vars(mod).items()
+            if not attr.startswith("_") and inspect.isfunction(fn) and fn.__module__ == mod.__name__
+        }
+        for mod in modules:
+            for attr, val in list(vars(mod).items()):
+                if id(val) in wrappers:
+                    monkeypatch.setattr(mod, attr, wrappers[id(val)])
+        for cls in (PathBundle, RiccatiSolution):
+            for attr, fn in list(vars(cls).items()):
+                if not attr.startswith("_") and inspect.isfunction(fn):
+                    monkeypatch.setattr(cls, attr, record(f"{cls.__name__}.{attr}", fn))
+        memo_get = record("_BlockMemo.get", dynamics._BlockMemo.get)
+        monkeypatch.setattr(dynamics._BlockMemo, "get", memo_get)
+        monkeypatch.setattr(dynamics, "_run", record("_run", dynamics._run))
+
+        assert main(["verify", CONFIG, "--suite", "bond", "--n-paths", "2000"]) == 0
+        capsys.readouterr()
+        main_thread = threading.main_thread().ident
+        off_main = [name for name, ident in calls if ident != main_thread]
+        assert off_main == ["_run"]  # the exact walk, and nothing else, ran on the worker
+        assert "ivoleq.dynamics.cir_mean" in {name for name, _ in calls}
+        assert "_BlockMemo.get" in {name for name, _ in calls}
 
 
 class TestExitCodes:
