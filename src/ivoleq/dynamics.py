@@ -32,13 +32,16 @@ investor, which is what the order-of-convergence check measures.
 Paths are generated in fixed-size chunks, each from its own counter-based
 stream spawned from the run seed, so estimates do not depend on how the
 chunks are scheduled and any chunk can be regenerated in isolation.  Every
-random block is drawn once, and only when a functional reads it.  The
-measures differ only in the state drift, so a chunk's increments serve every
-measure, forward horizon and discount rate: ``_run`` walks each chunk it
-draws once per distinct context, and a one-slot memo (``_BLOCKS``) hands the
-last chunk block a chunk loop drew, read-only, to the next chunk loop on the
-same stream instead of drawing it again (common random numbers at no cost
-in accuracy: every estimate equals that of a fresh draw).  :func:`simulate`
+random block is drawn once, and only when a functional reads it.  A chunk's
+increments are stored step-major, one row of paths per step, so a step of
+the walk reads one contiguous row; the stream fills them in the order of a
+(paths, steps) draw, so the layout moves no value.  The measures differ
+only in the state drift, so a chunk's increments serve every measure,
+forward horizon and discount rate: ``_run`` walks each chunk it draws once
+per distinct context, and a one-slot memo (``_BLOCKS``) hands the last chunk
+block a chunk loop drew, read-only, to the next chunk loop on the same
+stream instead of drawing it again (common random numbers at no cost in
+accuracy: every estimate equals that of a fresh draw).  :func:`simulate`
 draws its own writable block.
 
 Every check walks each chunk once per context (``_Chunk.walk``): the state
@@ -242,7 +245,8 @@ class PathBundle:
     The Euler reference for the walked checks: :func:`simulate` builds one,
     and no check does.  ``v`` has shape (paths, steps + 1); increment arrays
     have shape (paths, steps).  ``dW`` holds increments of the Brownian
-    motion of the simulation measure and is ``None`` under the exact
+    motion of the simulation measure, as the chunk's transposed view of its
+    step-major block (see ``_Chunk``), and is ``None`` under the exact
     scheme.  The ``dZ`` property draws the idiosyncratic increments of every
     investor, (investors, paths, steps), from the chunk's dedicated stream
     on first use; ``income_paths`` and ``log_belief_density`` read it.
@@ -386,10 +390,27 @@ def _philox(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+_TILE = 256  # paths per buffered tile of a draw into a strided ``out``
+
+
 def _draw_increments(gen: np.random.Generator, out, dt: float) -> NDArray[np.float64]:
-    """Fill ``out`` in place with Brownian increments over steps of length ``dt``."""
-    gen.standard_normal(out=out)
-    out *= math.sqrt(dt)
+    """Fill ``out`` in place with Brownian increments over steps of length ``dt``.
+
+    The stream fills ``out`` in the C order of its shape, last axis fastest.
+    An ``out`` that is not C-contiguous, such as the (paths, steps) view of a
+    step-major block, is filled through a C-ordered buffer of ``_TILE`` rows at
+    a time, which draws the same stream and the same values.
+    """
+    if out.flags.c_contiguous:
+        gen.standard_normal(out=out)
+        out *= math.sqrt(dt)
+        return out
+    tile = np.empty((min(_TILE, out.shape[0]),) + out.shape[1:])
+    for start in range(0, out.shape[0], _TILE):
+        part = tile[: out.shape[0] - start]
+        gen.standard_normal(out=part)
+        part *= math.sqrt(dt)
+        out[start : start + part.shape[0]] = part
     return out
 
 
@@ -401,16 +422,24 @@ def _need_dw(source):
     return source
 
 
-def _euler_step(vol, x, kappa, dt, dW):
-    """One full-truncation Euler step of the variance state.
+def _euler_step(vol, x, vp, root, kappa, dt, dW, out, scratch):
+    """One full-truncation Euler step of the variance state, written to ``out``.
 
-    The raw state ``x`` may dip below zero but only its positive part enters
-    drift and diffusion.  Returns the next raw state, the clipped current
-    state and its square root.
+    The raw state ``x`` may dip below zero but only its positive part ``vp``
+    and its square root ``root`` enter drift and diffusion.  ``out`` receives
+    ``x + (mu + kappa vp) dt + (sigma root) dW`` operation by operation in
+    that order, so the next raw state does not depend on the buffers;
+    ``scratch`` holds the diffusion term.  ``out`` and ``scratch`` must not
+    share memory with the inputs.  Returns ``out``.
     """
-    vp = np.maximum(x, 0.0)
-    root = np.sqrt(vp)
-    return x + (vol.mu_v + kappa * vp) * dt + vol.sigma_v * root * dW, vp, root
+    np.multiply(vp, kappa, out=out)
+    out += vol.mu_v
+    out *= dt
+    out += x
+    np.multiply(root, vol.sigma_v, out=scratch)
+    scratch *= dW
+    out += scratch
+    return out
 
 
 class _Chunk:
@@ -418,16 +447,21 @@ class _Chunk:
 
     ``draw(k)`` gives step k's state increments; it is ``None`` under the
     exact scheme, whose walk draws the state itself.  ``dW`` is the
-    (paths, steps) increment block when there is one, read only to build
-    full paths.  At grid point ``k``, ``v`` is the clipped state at ``t_k``;
-    ``int_v``, ``int_sqrt_v_dW`` and ``int_r`` are the left-point integrals of
-    ``v dt`` and ``sqrt(v) dW`` and the trapezoid integral of the spot rate to
-    ``t_k``, per path, each equal bit for bit to the ``PathBundle`` column;
-    ``vp``, ``root`` and ``dw`` are the last step's clipped left state, its
-    square root and its increment.  With increments, :meth:`basis` gives
-    ``(1, t_k, int_v, int_sqrt_v_dW)`` as one (4, paths) array, whose last
-    two rows are those integrals; :func:`_affine_coeffs` maps it to every
-    investor's paths.
+    (paths, steps) increment block when there is one, a transposed view of
+    a step-major (steps, paths) block whose row k ``draw(k)`` returns
+    without a copy; a ``dW`` of another layout is copied into one such
+    block.  ``dW`` is read only to build full paths.  At grid point ``k``,
+    ``v`` is the clipped state at ``t_k``; ``int_v``, ``int_sqrt_v_dW`` and
+    ``int_r`` are the left-point integrals of ``v dt`` and ``sqrt(v) dW`` and
+    the trapezoid integral of the spot rate to ``t_k``, per path, each equal
+    bit for bit to the ``PathBundle`` column; ``vp``, ``root`` and ``dw`` are
+    the last step's clipped left state (the ``v`` of the grid point before),
+    its square root and its increment.  The walk never writes an array it
+    handed out as ``v``, ``vp``, ``root`` or ``dw``, so a consumer may keep
+    them; the running integrals are live and change at every step.  With
+    increments, :meth:`basis` gives ``(1, t_k, int_v, int_sqrt_v_dW)`` as one
+    (4, paths) array, whose last two rows are those integrals;
+    :func:`_affine_coeffs` maps it to every investor's paths.
     """
 
     def __init__(self, ctx: _SimContext, m: int, dW=None, seeds=(None, None, None),
@@ -435,8 +469,12 @@ class _Chunk:
         self.ctx = ctx
         self.m = m
         self.n_steps, self.dt, self.times = ctx.n_steps, ctx.dt, ctx.times
+        if dW is not None:
+            if not dW.T.flags.c_contiguous:  # one transposing copy into step-major rows
+                dW = np.ascontiguousarray(dW.T).T
+            draw = dW.T.__getitem__  # step k's increments: row k, without a copy
         self.dW = dW
-        self.draw = draw if dW is None else lambda k: np.ascontiguousarray(dW[:, k])
+        self.draw = draw
         self.antithetic_pairs = antithetic_pairs
         self._w_seed, self.z_seed, self._g_seed = seeds
         self._v0 = np.full(m, ctx.econ.vol.v0) if v0 is None else v0
@@ -464,20 +502,27 @@ class _Chunk:
 
     def walk(self, sums: bool = True):
         """Advance the state one step at a time, yielding at t_0, ..., t_K;
-        ``sums=False`` keeps no running integrals, for a walk that reads only ``v``."""
-        ctx, vol, dt = self.ctx, self.ctx.econ.vol, self.dt
+        ``sums=False`` keeps no running integrals, for a walk that reads only ``v``.
+
+        A step clips the state once (its ``vp`` is the last ``v``) and works in
+        buffers of this walk, each expression's operations in order, so the
+        values are bit for bit those of fresh arrays.
+        """
+        ctx, vol, dt, m = self.ctx, self.ctx.econ.vol, self.dt, self.m
         intercept, slope = ctx.agg.rate_intercept, ctx.rate_slope
-        x = self.v = self._v0  # x is the raw Euler state
+        x = self._v0  # x is the raw Euler state
+        self.v = np.maximum(x, 0.0)
         self.k = 0
         if sums:
-            self.int_r = np.zeros(self.m)
+            self.int_r = np.zeros(m)
             if self.draw is None:
-                self.int_v = np.zeros(self.m)
+                self.int_v = np.zeros(m)
             else:
-                self._basis = np.zeros((4, self.m))
+                self._basis = np.zeros((4, m))
                 self._basis[0] = 1.0
                 self.int_v, self.int_sqrt_v_dW = self._basis[2], self._basis[3]
-            r = intercept + slope * self.v
+            r, r_next = intercept + slope * self.v, np.empty(m)
+        term = np.empty(m)  # one integrand or the diffusion term at a time
         yield
         if self.draw is None:  # exact transition law: a scaled noncentral chi-square
             gen = _philox(self._w_seed)
@@ -486,21 +531,30 @@ class _Chunk:
             kt = -ctx.kappa_eff  # reversion speed of the transition law
             c = 2.0 / (sig2 * dt) if kt == 0.0 else 2.0 * kt / (sig2 * -math.expm1(-kt * dt))
             decay = math.exp(-kt * dt)
+        else:
+            raw = np.empty((2, m))  # alternate: a step never writes the x it reads, nor v0
         for k in range(self.n_steps):
+            self.vp = self.v
             if self.draw is None:
-                self.vp = self.v
                 self.v = gen.noncentral_chisquare(df, 2.0 * c * self.vp * decay) / (2.0 * c)
             else:
                 self.dw = self.draw(k)
-                x, self.vp, self.root = _euler_step(vol, x, ctx.kappa_grid[k], dt, self.dw)
+                self.root = np.sqrt(self.vp)
+                x = _euler_step(vol, x, self.vp, self.root, ctx.kappa_grid[k], dt, self.dw,
+                                raw[k % 2], term)
                 self.v = np.maximum(x, 0.0)
                 if sums:
-                    self.int_sqrt_v_dW += self.root * self.dw
+                    self.int_sqrt_v_dW += np.multiply(self.root, self.dw, out=term)
             if sums:
-                self.int_v += self.vp * dt
-                r_next = intercept + slope * self.v
-                self.int_r += 0.5 * (r + r_next) * dt
-                r = r_next
+                self.int_v += np.multiply(self.vp, dt, out=term)
+                # r_next = intercept + slope v; int_r += 0.5 (r + r_next) dt
+                np.multiply(self.v, slope, out=r_next)
+                r_next += intercept
+                np.add(r, r_next, out=term)
+                term *= 0.5
+                term *= dt
+                self.int_r += term
+                r, r_next = r_next, r
             self.k = k + 1
             yield
 
@@ -531,7 +585,8 @@ def _then(chunk: _Chunk, fn, *parts):
 
 
 class _BlockMemo:
-    """The last increment block drawn, read-only, under the key that fixes it.
+    """The last increment block drawn, read-only, under the key that fixes it:
+    a chunk's ``dW``, whose step-major rows are read-only through it as well.
 
     One slot: a hit returns the held block, and a miss empties the slot
     before drawing, so at most one block is held between calls and no two
@@ -557,7 +612,8 @@ _BLOCKS = _BlockMemo()
 
 
 def _simulate_chunk(ctx: _SimContext, seed, m: int, memo: bool = True) -> _Chunk:
-    """A chunk with its state increments drawn in place; its walk generates the state.
+    """A chunk with its state increments drawn in place, as a step-major block
+    holding the stream of a (paths, steps) draw; its walk generates the state.
 
     With ``memo`` (the chunks of :func:`_iter_chunks`, at most ``chunk_size``
     paths) the block goes through ``_BLOCKS``: the held block when the last
@@ -571,11 +627,13 @@ def _simulate_chunk(ctx: _SimContext, seed, m: int, memo: bool = True) -> _Chunk
     antithetic = ctx.sim.antithetic
 
     def draw() -> NDArray[np.float64]:
-        dW = np.empty((m, ctx.n_steps))
-        half = _draw_increments(_philox(seeds[0]), dW[: m // 2] if antithetic else dW, ctx.dt)
+        # a step-major block, filled in the stream order of a (paths, steps) draw
+        rows = np.empty((ctx.n_steps, m))
+        half = m // 2 if antithetic else m
+        _draw_increments(_philox(seeds[0]), rows[:, :half].T, ctx.dt)
         if antithetic:
-            np.negative(half, out=dW[m // 2 :])
-        return dW
+            np.negative(rows[:, :half], out=rows[:, half:])
+        return rows.T
 
     # everything the block depends on: the state stream's seed and the shape,
     # step length and mirroring of the draw
@@ -1140,8 +1198,14 @@ def verify_foc(econ: EconomyParams, sim: SimConfig, investor: int = 0) -> FocRep
 
 
 def _coarse(ctx: _SimContext, dW, factor: int) -> _Chunk:
-    """Paths on ``ctx``'s grid, ``factor`` times coarser than ``dW``'s, from summed increments."""
-    return _Chunk(ctx, dW.shape[0], dW.reshape(dW.shape[0], -1, factor).sum(axis=2))
+    """Paths on ``ctx``'s grid, ``factor`` times coarser than ``dW``'s, from summed increments.
+
+    Each coarse increment is summed along a contiguous (paths, steps) copy,
+    where numpy's summation order is that of a path-major block; summed
+    along the step-major rows, factors of 8 and more would round otherwise.
+    """
+    m = dW.shape[0]
+    return _Chunk(ctx, m, np.ascontiguousarray(dW).reshape(m, -1, factor).sum(axis=2))
 
 
 def _require_nested_grid(fine_steps: int, doublings: int) -> None:

@@ -188,17 +188,36 @@ class TestRowsMatchFullPaths:
             if idx == 0:
                 _close(rep.wealth_at_zero, wealth.mean())
 
-    @given(scheme=st.sampled_from(["euler", "exact"]), **draws)
-    @settings(max_examples=10, deadline=None)
-    def test_state_rows(self, scheme, seed, antithetic, chunk_size):
+    @given(walk=st.sampled_from([("euler", "P"), ("euler", "QU"), ("euler", "benchmark"),
+                                 ("exact", "P"), ("exact", "benchmark")]), **draws)
+    @settings(max_examples=20, deadline=None)
+    def test_state_rows(self, walk, seed, antithetic, chunk_size):
+        # under P, under the forward measure, whose drift varies along the
+        # grid, and at the full-insurance rate slope of the benchmark
+        scheme, setting = walk
         econ, sim, _, _ = _case(seed, antithetic, chunk_size, scheme=scheme)
+        if setting == "QU":
+            sim = dataclasses.replace(sim, measure="QU", horizon_U=econ.horizon)
         plans = []
         with mock.patch.object(dynamics, "_run", lambda *p: plans.extend(p) or [None]):
             dynamics.mc_state_mean(econ, sim)
-        for (got,), chunk, bundle in _walked(plans[0]):
+        plan, benchmark = plans[0], setting == "benchmark"
+        if benchmark:
+            ctx = dynamics._SimContext(econ, sim, econ.horizon, benchmark=True)
+            plan = dataclasses.replace(plan, ctx=ctx)
+        vol = econ.vol
+        for (got,), chunk, bundle in _walked(plan):
             assert np.array_equal(got, bundle.v[:, -1])
+            if scheme == "euler":
+                # the state is the full-truncation recursion, one expression a step
+                x = np.full(chunk.m, vol.v0)
+                for k in range(chunk.n_steps):
+                    vp = np.maximum(x, 0.0)
+                    x = x + (vol.mu_v + plan.ctx.kappa_grid[k] * vp) * chunk.dt \
+                        + vol.sigma_v * np.sqrt(vp) * bundle.dW[:, k]
+                    assert np.array_equal(bundle.v[:, k + 1], np.maximum(x, 0.0)), k
             # the running integrals equal the full-path columns bit for bit
-            full = [bundle.v, bundle.int_v(), bundle.int_rate()]
+            full = [bundle.v, bundle.int_v(), bundle.int_rate(benchmark)]
             names = ["v", "int_v", "int_r"]
             if scheme == "euler":
                 full.append(bundle.int_sqrt_v_dW())
@@ -251,6 +270,31 @@ class TestRowsMatchFullPaths:
             _close(income @ got[2:6], xi * y_end)
             f = agg.tau_total * log_xi + y_end.sum(axis=0)
             _close(got[6:], np.stack([f, -f]))
+
+
+@pytest.mark.parametrize("sums", [True, False], ids=["sums", "state_only"])
+@pytest.mark.parametrize("source", ["memo", "fresh", "exact", "nested"])
+def test_walk_never_writes_an_array_it_handed_out(source, sums):
+    # keep every step's v, vp, root and dw with a copy taken at hand-out: a
+    # walk that reuses a handed-out array as a buffer changes a kept one
+    econ = heterogeneous_economy()
+    sim = SimConfig(n_paths=16, steps_per_year=24, seed=4, antithetic=False)
+    if source == "memo":
+        chunk = next(dynamics._iter_chunks(dynamics._SimContext(econ, sim, econ.horizon)))
+    elif source == "nested":
+        ctx, gen = dynamics._SimContext(econ, sim, econ.horizon), np.random.default_rng(4)
+        chunk = dynamics._Chunk(ctx, 16, v0=np.linspace(0.0, 0.2, 16),
+                                draw=lambda k: math.sqrt(ctx.dt) * gen.standard_normal(16))
+    else:
+        chunk = dynamics._one_chunk(econ, dataclasses.replace(
+            sim, scheme="exact" if source == "exact" else "euler"))
+    names = ("v", "vp") if source == "exact" else ("v", "vp", "root", "dw")
+    kept = []
+    for k, _ in enumerate(chunk.walk(sums)):
+        kept += [(getattr(chunk, n), getattr(chunk, n).copy()) for n in (names if k else ["v"])]
+    assert len(kept) == 1 + len(names) * chunk.n_steps
+    for j, (held, at_hand_out) in enumerate(kept):
+        assert np.array_equal(held, at_hand_out), j
 
 
 def _full_clearing(bundle) -> np.ndarray:

@@ -248,6 +248,12 @@ class TestBlockMemo:
         assert hit is first and not hit.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             hit[0, 0] = 0.0
+        # the held block is step-major, and its rows, which the walk reads,
+        # are read-only too
+        rows = hit.T
+        assert rows.flags.c_contiguous and not rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 0] = 0.0
         monkeypatch.setattr(dynamics._BLOCKS, "slot", None)
         fresh = _block(econ, sim)
         assert fresh is not hit and np.array_equal(fresh, hit)
@@ -317,17 +323,24 @@ def test_no_check_draws_a_chunk_above_chunk_size(monkeypatch, name):
 class TestIncrementDraw:
     @pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
     def test_in_place_draw_equals_scaled_copy(self, antithetic):
-        sim = _sim(n_paths=32, antithetic=antithetic)
-        ctx = dynamics._SimContext(reference_economy(2), sim, 1.0)
-        got = dynamics._simulate_chunk(ctx, np.random.SeedSequence(9), 32).dW
+        # the step-major block is filled 256 paths at a time and holds the
+        # stream of one (paths, steps) draw: below, at and across a tile's
+        # edge, over many tiles, and over an odd number of steps
         w_seed = np.random.SeedSequence(9).spawn(3)[0]
-        gen = np.random.Generator(np.random.Philox(w_seed))
-        if antithetic:
-            base = gen.standard_normal((16, ctx.n_steps))
-            want = np.sqrt(ctx.dt) * np.concatenate([base, -base], axis=0)
-        else:
-            want = np.sqrt(ctx.dt) * gen.standard_normal((32, ctx.n_steps))
-        assert np.array_equal(got, want)
+        for drawn in (2, 255, 256, 257, 8192):
+            m = 2 * drawn if antithetic else drawn
+            sim = _sim(n_paths=m, steps_per_year=25, antithetic=antithetic)
+            ctx = dynamics._SimContext(reference_economy(2), sim, 1.0)
+            chunk = dynamics._simulate_chunk(ctx, np.random.SeedSequence(9), m)
+            gen = np.random.Generator(np.random.Philox(w_seed))
+            base = gen.standard_normal((drawn, ctx.n_steps))
+            if antithetic:
+                want = np.sqrt(ctx.dt) * np.concatenate([base, -base], axis=0)
+            else:
+                want = np.sqrt(ctx.dt) * base
+            assert ctx.n_steps == 25 and np.array_equal(chunk.dW, want), drawn
+            for k in range(ctx.n_steps):
+                assert np.array_equal(chunk.draw(k), want[:, k]), (drawn, k)
 
 
 def _peak_bytes(fn) -> int:
