@@ -27,7 +27,8 @@ chunks by the pairwise update of Chan, Golub and LeVeque (1979).
 The mismatch between the trapezoid discount and the left-endpoint
 consumption drift telescopes into a first-order-condition residual of
 exactly ``(dt / 2) * (r_{t_k} - r_0)`` at grid point t_k, for every
-investor, which is what the order-of-convergence check measures.
+investor: the residual :func:`verify_foc` reports is first order in ``dt``
+by this identity.
 
 Paths are generated in fixed-size chunks, each from its own counter-based
 stream spawned from the run seed, so estimates do not depend on how the
@@ -109,9 +110,7 @@ __all__ = [
     "MultiplierSolution",
     "ClearingReport",
     "FocReport",
-    "FocOrderReport",
     "WeakOrderReport",
-    "BudgetReport",
     "simulate",
     "mc_state_mean",
     "cir_mean",
@@ -122,10 +121,8 @@ __all__ = [
     "verify_clearing",
     "solve_multipliers",
     "verify_foc",
-    "foc_order",
     "martingale_checks",
     "weak_convergence_study",
-    "verify_budget_martingale",
 ]
 
 MEASURES = ("P", "Qmin", "QU")
@@ -445,39 +442,38 @@ def _euler_step(vol, x, vp, root, kappa, dt, dW, out, scratch):
 class _Chunk:
     """One chunk of paths, advanced a step at a time by :meth:`walk`.
 
-    ``draw(k)`` gives step k's state increments; it is ``None`` under the
-    exact scheme, whose walk draws the state itself.  ``dW`` is the
-    (paths, steps) increment block when there is one, a transposed view of
-    a step-major (steps, paths) block whose row k ``draw(k)`` returns
-    without a copy; a ``dW`` of another layout is copied into one such
-    block.  ``dW`` is read only to build full paths.  At grid point ``k``,
-    ``v`` is the clipped state at ``t_k``; ``int_v``, ``int_sqrt_v_dW`` and
-    ``int_r`` are the left-point integrals of ``v dt`` and ``sqrt(v) dW`` and
-    the trapezoid integral of the spot rate to ``t_k``, per path, each equal
-    bit for bit to the ``PathBundle`` column; ``vp``, ``root`` and ``dw`` are
-    the last step's clipped left state (the ``v`` of the grid point before),
-    its square root and its increment.  The walk never writes an array it
-    handed out as ``v``, ``vp``, ``root`` or ``dw``, so a consumer may keep
-    them; the running integrals are live and change at every step.  With
-    increments, :meth:`basis` gives ``(1, t_k, int_v, int_sqrt_v_dW)`` as one
-    (4, paths) array, whose last two rows are those integrals;
-    :func:`_affine_coeffs` maps it to every investor's paths.
+    ``dW`` is the (paths, steps) increment block, a transposed view of a
+    step-major (steps, paths) block; a ``dW`` of another layout is copied
+    into one such block.  ``draw(k)`` returns its row k, step k's state
+    increments, without a copy; both are ``None`` under the exact scheme,
+    whose walk draws the state itself.  Every walk starts at the economy's
+    ``v0``.  Besides ``draw``, only full paths and coarser grids read ``dW``.
+    At grid point ``k``, ``v`` is the clipped state at ``t_k``; ``int_v``,
+    ``int_sqrt_v_dW`` and ``int_r`` are the left-point integrals of ``v dt``
+    and ``sqrt(v) dW`` and the trapezoid integral of the spot rate to
+    ``t_k``, per path, each equal bit for bit to the ``PathBundle`` column;
+    ``vp``, ``root`` and ``dw`` are the last step's clipped left state (the
+    ``v`` of the grid point before), its square root and its increment.  The
+    walk never writes an array it handed out as ``v``, ``vp``, ``root`` or
+    ``dw``, so a consumer may keep them; the running integrals are live and
+    change at every step.  With increments, :meth:`basis` gives
+    ``(1, t_k, int_v, int_sqrt_v_dW)`` as one (4, paths) array, whose last
+    two rows are those integrals; :func:`_affine_coeffs` maps it to every
+    investor's paths.
     """
 
     def __init__(self, ctx: _SimContext, m: int, dW=None, seeds=(None, None, None),
-                 antithetic_pairs=False, v0=None, draw=None):
+                 antithetic_pairs=False):
         self.ctx = ctx
         self.m = m
         self.n_steps, self.dt, self.times = ctx.n_steps, ctx.dt, ctx.times
-        if dW is not None:
-            if not dW.T.flags.c_contiguous:  # one transposing copy into step-major rows
-                dW = np.ascontiguousarray(dW.T).T
-            draw = dW.T.__getitem__  # step k's increments: row k, without a copy
+        if dW is not None and not dW.T.flags.c_contiguous:
+            dW = np.ascontiguousarray(dW.T).T  # one transposing copy into step-major rows
         self.dW = dW
-        self.draw = draw
+        # step k's increments: row k, without a copy
+        self.draw = None if dW is None else dW.T.__getitem__
         self.antithetic_pairs = antithetic_pairs
         self._w_seed, self.z_seed, self._g_seed = seeds
-        self._v0 = np.full(m, ctx.econ.vol.v0) if v0 is None else v0
 
     def under(self, ctx: _SimContext) -> _Chunk:
         """This chunk's increments and streams, walked with ``ctx``'s drift and rate."""
@@ -510,7 +506,7 @@ class _Chunk:
         """
         ctx, vol, dt, m = self.ctx, self.ctx.econ.vol, self.dt, self.m
         intercept, slope = ctx.agg.rate_intercept, ctx.rate_slope
-        x = self._v0  # x is the raw Euler state
+        x = np.full(m, vol.v0)  # x is the raw Euler state
         self.v = np.maximum(x, 0.0)
         self.k = 0
         if sums:
@@ -532,7 +528,7 @@ class _Chunk:
             c = 2.0 / (sig2 * dt) if kt == 0.0 else 2.0 * kt / (sig2 * -math.expm1(-kt * dt))
             decay = math.exp(-kt * dt)
         else:
-            raw = np.empty((2, m))  # alternate: a step never writes the x it reads, nor v0
+            raw = np.empty((2, m))  # alternate: a step never writes the x it reads
         for k in range(self.n_steps):
             self.vp = self.v
             if self.draw is None:
@@ -591,7 +587,7 @@ class _BlockMemo:
     One slot: a hit returns the held block, and a miss empties the slot
     before drawing, so at most one block is held between calls and no two
     are alive at once.  A block drawn without a key (the single chunk of
-    :func:`simulate` and of the budget check) is neither held nor read-only.
+    :func:`simulate`) is neither held nor read-only.
     """
 
     slot: tuple | None = None
@@ -671,7 +667,8 @@ def simulate(
 
 
 def _one_chunk(econ: EconomyParams, sim: SimConfig, horizon: float | None = None) -> _Chunk:
-    """The paths of :func:`simulate` as one chunk, to walk instead of store.
+    """The paths of :func:`simulate` as one chunk, for a test to walk
+    instead of store.
 
     Its block is always a fresh, writable draw: the memo serves only the
     chunk loops.
@@ -1218,41 +1215,10 @@ def _require_nested_grid(fine_steps: int, doublings: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class FocOrderReport:
-    steps_per_year: tuple[int, ...]
-    residuals: tuple[float, ...]
-    order: float
-
-
-def foc_order(
-    econ: EconomyParams,
-    sim: SimConfig,
-    investor: int = 0,
-    doublings: int = 2,
-) -> FocOrderReport:
-    """Observed convergence order of the first-order-condition residual.
-
-    Simulates at the finest grid once and aggregates the same increments
-    onto coarser grids, so every level sees the same underlying noise and
-    the residual ratio is nearly deterministic.  Each level reads the
-    residual of :func:`verify_foc` at the horizon, so none draws ``dZ``.
-    """
-    i = _investor(econ, investor)
-    g = _foc_coeffs(require_valid(econ), econ.investors[i])
-    residuals = _level_means(econ, replace(sim, measure="P"), econ.horizon, doublings,
-                             lambda ch: _then(ch, lambda ch: _affine_residual(ch, g, 1.0)))
-    levels = [sim.steps_per_year * 2**level for level in range(doublings + 1)]
-    fit = np.polyfit(np.log2(levels), np.log2(residuals), 1)
-    return FocOrderReport(tuple(levels), tuple(map(float, residuals)), float(-fit[0]))
-
-
 def _level_means(econ, sim: SimConfig, horizon: float, doublings: int, rows) -> NDArray[np.float64]:
     """Mean of a consumer's per-path rows on ``sim``'s grid and each of ``doublings``
-    finer ones; each chunk of the finest is walked on every level, from summed increments,
-    so an exact-scheme ``sim`` is refused before anything is drawn."""
-    if sim.scheme == "exact":
-        _need_dw(None)
+    finer ones; each chunk of the finest is walked on every level, the coarser ones
+    from its summed increments (:func:`_coarse`), so ``sim`` must be an Euler one."""
     ctxs = [_SimContext(econ, replace(sim, steps_per_year=sim.steps_per_year * 2**level), horizon)
             for level in range(doublings + 1)]
     _require_nested_grid(ctxs[-1].n_steps, doublings)
@@ -1268,7 +1234,7 @@ def _level_means(econ, sim: SimConfig, horizon: float, doublings: int, rows) -> 
 
 
 # ---------------------------------------------------------------------------
-# martingale and budget checks
+# martingale checks
 
 
 def martingale_checks(econ: EconomyParams, sim: SimConfig) -> list[tuple[str, McEstimate]]:
@@ -1354,114 +1320,3 @@ def weak_convergence_study(
         level_diffs=tuple(diffs),
         order=float(-fit[0]),
     )
-
-
-@dataclass(frozen=True)
-class BudgetReport:
-    """Constancy check of the expected deflated-wealth-plus-spending process."""
-
-    investor: int
-    times: tuple[float, ...]
-    values: tuple[float, ...]
-    standard_errors: tuple[float, ...]
-    max_z: float
-    wealth_at_zero: float
-    budget_x0: float
-
-
-def verify_budget_martingale(
-    econ: EconomyParams,
-    sim: SimConfig,
-    investor: int = 0,
-    checkpoints: tuple[float, ...] = (0.25, 0.5, 0.75),
-    inner_paths: int = 256,
-    c0: float | None = None,
-) -> BudgetReport:
-    """Deep verification of one investor's intertemporal budget.
-
-    Reconstructs optimal wealth at each checkpoint by a nested simulation
-    started from every outer path's state, then checks that deflated wealth
-    plus cumulative deflated consumption has a constant expectation.  The
-    time-zero reconstruction should also match the investor's initial
-    wealth when ``c0`` comes from :func:`solve_multipliers`.  The outer
-    paths are walked once: at each checkpoint the walk's state, deflator,
-    consumption and trapezoid spend start the nested tails.  Quadratic cost
-    in paths; defaults are sized for a smoke test, not for precision.
-    """
-    investor = _investor(econ, investor)
-    if inner_paths < 1:
-        raise ValueError(f"inner_paths must be at least 1, got {inner_paths}")
-    for t_c in checkpoints:
-        if not 0.0 <= t_c <= econ.horizon:
-            raise ValueError(f"checkpoint {t_c} is outside [0, {econ.horizon}]")
-    if c0 is None:
-        c0 = float(solve_multipliers(econ, replace(sim, n_paths=4096)).c0[investor])
-    base = _require_measure(sim, "P")
-    outer = _one_chunk(econ, base)
-    cons = _affine_coeffs(outer.ctx.agg, [econ.investors[investor]])[0, 0]
-    level = np.concatenate([[c0], cons[1:]])  # consumption c0 + C(t) on the basis
-    times = (0.0,) + tuple(checkpoints)
-    steps = [round(t_c / outer.dt) for t_c in times]
-    seeds = np.random.SeedSequence(sim.seed + 7_777_777).spawn(len(times))
-
-    def checkpoint_rows(ch: _Chunk):
-        # per checkpoint: deflated wealth plus trapezoid spend, and wealth, per path
-        out = [None] * len(times)
-        deflated = _deflated_sums(ch)
-        for k in range(ch.n_steps + 1):
-            running = next(deflated)
-            for idx in (j for j, step in enumerate(steps) if step == k):
-                xi = np.exp(ch.log_xi())
-                a_hat, c_hat = _nested_budget_tail(
-                    econ, base, ch.v, econ.horizon - ch.times[k], inner_paths, seeds[idx], cons
-                )
-                basis = ch.basis()
-                wealth = (level @ basis) * a_hat + c_hat
-                # below the horizon the trapezoid to t_k weighs t_k's term dt / 2 less
-                # than the running sums do (at t_0, not at all)
-                trap = running if k == ch.n_steps else running - (0.5 * ch.dt * xi) * basis
-                out[idx] = xi * wealth + level @ trap, wealth
-            yield out
-
-    rows = _walk_rows(outer, [checkpoint_rows])[0]
-    values = [float(stat.mean()) for stat, _ in rows]
-    ses = [float(stat.std(ddof=1) / math.sqrt(stat.size)) for stat, _ in rows]
-    wealth0 = float(rows[0][1].mean())
-    z = [
-        abs(v - values[0]) / math.sqrt(s**2 + ses[0] ** 2 + 1e-300)
-        for v, s in zip(values[1:], ses[1:])
-    ]
-    return BudgetReport(
-        investor=investor,
-        times=times,
-        values=tuple(values),
-        standard_errors=tuple(ses),
-        max_z=max(z) if z else 0.0,
-        wealth_at_zero=wealth0,
-        budget_x0=econ.investors[investor].X0,
-    )
-
-
-def _nested_budget_tail(
-    econ, sim: SimConfig, v_start, span: float, inner_paths: int, seed, cons
-):
-    """Inner expectations E[int xi du] and E[int xi * cum-increments du].
-
-    One batched walk covers all outer states: each outer path gets
-    ``inner_paths`` fresh continuations started at its variance level, with
-    the deflator restarted at one and the increments drawn a step at a time,
-    so no (paths, steps) matrix is ever held.  The integrals are the running
-    sums of the multiplier estimate, and ``cons`` is the investor's
-    consumption row of :func:`_affine_coeffs`.  Returns per-outer-path inner
-    means (a_hat, c_hat).
-    """
-    m_outer = v_start.shape[0]
-    if span <= 0.0:
-        zeros = np.zeros(m_outer)
-        return zeros, zeros
-    ctx = _SimContext(econ, sim, span)
-    gen, m = _philox(seed), m_outer * inner_paths
-    chunk = _Chunk(ctx, m, v0=np.repeat(v_start, inner_paths),
-                   draw=lambda k: math.sqrt(ctx.dt) * gen.standard_normal(m))
-    sums = _walk_rows(chunk, [_deflated_sums])[0]
-    return tuple(x.reshape(m_outer, inner_paths).mean(axis=1) for x in (sums[0], cons @ sums))

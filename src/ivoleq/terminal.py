@@ -48,15 +48,11 @@ class TerminalEquilibrium:
 def terminal_mpr(sol: RiccatiSolution, agg: AggregateParams, t, horizon: float):
     """Price-of-risk coefficient of the terminal-wealth economy at time t.
 
-    Same arithmetic as the flow economy's window coefficient with the window
-    end pinned at the final date, so the two agree exactly at ``t = 0``.
-    Vectorizes over ``t``.
+    The flow economy's window coefficient (:func:`discrete_mpr`) with the
+    window end pinned at the final date, so the two agree exactly at
+    ``t = 0``.  Vectorizes over ``t``.
     """
-    t_arr = np.asarray(t, dtype=float)
-    if t_arr.size and (t_arr.min() < 0.0 or t_arr.max() > horizon):
-        raise ValueError(f"need 0 <= t <= horizon={horizon}")
-    out = agg.mpr_loading - sol.eval_b(horizon - t_arr) * agg.vol.sigma_v
-    return float(out) if np.ndim(t) == 0 else out
+    return discrete_mpr(sol, agg, t, horizon)
 
 
 def terminal_equilibrium(

@@ -21,7 +21,6 @@ from ivoleq.config import load_config
 from ivoleq.dynamics import (
     SimConfig,
     cir_mean,
-    foc_order,
     martingale_checks,
     mc_annuity,
     mc_bond_price,
@@ -29,7 +28,6 @@ from ivoleq.dynamics import (
     mc_state_mean,
     simulate,
     solve_multipliers,
-    verify_budget_martingale,
     verify_clearing,
     verify_foc,
     verify_forward_measure,
@@ -243,26 +241,6 @@ class TestFirstOrderConditions:
         rep = verify_foc(econ, small(), investor=0)
         assert rep.max_insured <= rep.dt
 
-    def test_first_order_in_step_size(self, econ_mixed):
-        rep = foc_order(econ_mixed, small(steps_per_year=63), doublings=2)
-        assert 0.7 <= rep.order <= 1.3
-
-    def test_order_refuses_the_exact_scheme_before_drawing(self, monkeypatch):
-        # the coarse levels sum the finest grid's increments, which the exact scheme lacks
-        def refuse(*args):
-            raise AssertionError("a chunk was drawn")
-
-        monkeypatch.setattr(dynamics, "_simulate_chunk", refuse)
-        sim = SimConfig(n_paths=16, steps_per_year=16, scheme="exact")
-        with pytest.raises(ValueError, match="the exact scheme does not produce them"):
-            foc_order(heterogeneous_economy(), sim)
-
-    def test_rejects_grid_the_levels_cannot_nest(self):
-        econ = dataclasses.replace(reference_economy(2), horizon=0.3)
-        # 1008 steps a year over 0.3 years is 302 steps, not a multiple of 4
-        with pytest.raises(ValueError, match=r"302 steps.*doublings=2"):
-            foc_order(econ, small(n_paths=200), doublings=2)
-
 
 class TestForwardMeasure:
     def test_bond_and_annuity_centered(self, econ2):
@@ -309,15 +287,6 @@ class TestMultipliers:
     def test_annuity_cross_check(self, econ2):
         ms = solve_multipliers(econ2, small(n_paths=8000))
         assert abs(ms.annuity_mc.z(ms.annuity_closed)) <= 3.0
-
-
-class TestBudgetMartingale:
-    def test_deflated_wealth_is_flat(self, econ_mixed):
-        rep = verify_budget_martingale(
-            econ_mixed, small(n_paths=256), investor=0, inner_paths=128
-        )
-        assert rep.max_z <= 3.0
-        assert rep.wealth_at_zero == pytest.approx(rep.budget_x0, abs=0.05)
 
 
 class TestWeakConvergence:

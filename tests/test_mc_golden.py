@@ -29,7 +29,6 @@ import numpy as np
 from conftest import heterogeneous_economy
 from ivoleq.dynamics import (
     SimConfig,
-    foc_order,
     martingale_checks,
     mc_annuity,
     mc_bond_price,
@@ -37,7 +36,6 @@ from ivoleq.dynamics import (
     mc_state_mean,
     simulate,
     solve_multipliers,
-    verify_budget_martingale,
     verify_clearing,
     verify_foc,
     verify_forward_measure,
@@ -111,16 +109,8 @@ def capture() -> dict[str, list[float]]:
     out["verify_clearing.max_residual"] = [verify_clearing(econ, _sim(n_paths=200)).max_residual]
     foc = verify_foc(econ, _sim(n_paths=200), investor=1)
     out["verify_foc"] = [foc.max_insured]
-    rep = foc_order(econ, _sim(n_paths=200, steps_per_year=16), doublings=2)
-    out["foc_order"] = list(rep.residuals) + [rep.order]
     rep = weak_convergence_study(econ, 0.5, _sim(steps_per_year=8, antithetic=True), doublings=3)
     out["weak_convergence_study"] = list(rep.biases) + list(rep.level_diffs) + [rep.order]
-    rep = verify_budget_martingale(
-        econ, _sim(n_paths=64, steps_per_year=24), investor=1, inner_paths=32
-    )
-    out["verify_budget_martingale"] = (
-        list(rep.values) + list(rep.standard_errors) + [rep.max_z, rep.wealth_at_zero]
-    )
     rep = verify_terminal_clearing(econ, _sim(n_paths=300))
     m = rep.multipliers
     out["verify_terminal_clearing"] = (

@@ -32,16 +32,15 @@ from ivoleq import dynamics, terminal
 from ivoleq.config import load_config
 from ivoleq.dynamics import (
     SimConfig,
-    foc_order,
     martingale_checks,
     mc_annuity,
     mc_bond_price,
     mc_risk_premium,
     solve_multipliers,
-    verify_budget_martingale,
     verify_clearing,
     verify_foc,
     verify_forward_measure,
+    weak_convergence_study,
 )
 from ivoleq.equilibrium import (
     annuity_price,
@@ -161,33 +160,6 @@ class TestRowsMatchFullPaths:
         for (got,), chunk, bundle in _walked(dynamics._annuity_plan(econ, sim, benchmark)):
             _close(got, _trapezoid(disc(chunk, bundle), bundle.dt))
 
-    @given(seed=st.integers(0, 2**31), c0=st.sampled_from([None, 0.3]))
-    @settings(max_examples=10, deadline=None)
-    def test_budget_checkpoints(self, seed, c0):
-        # unsorted and repeated checkpoints, both ends of the horizon
-        econ, sim = heterogeneous_economy(), SimConfig(n_paths=16, steps_per_year=24, seed=seed,
-                                                       antithetic=False)
-        checkpoints, inner = (0.5, 0.0, 1.0, 0.5), 4
-        rep = verify_budget_martingale(econ, sim, investor=1, checkpoints=checkpoints,
-                                       inner_paths=inner, c0=c0)
-        if c0 is None:
-            c0 = float(solve_multipliers(econ, dataclasses.replace(sim, n_paths=4096)).c0[1])
-        bundle = dynamics.simulate(econ, sim)
-        xi, c = bundle.xi_min(), c0 + bundle.consumption_cum(1)
-        cons = dynamics._affine_coeffs(bundle.agg, econ.investors)[0, 1]
-        seeds = np.random.SeedSequence(seed + 7_777_777).spawn(1 + len(checkpoints))
-        for idx, t in enumerate((0.0,) + checkpoints):
-            k = round(t / bundle.dt)
-            a_hat, c_hat = dynamics._nested_budget_tail(
-                econ, sim, bundle.v[:, k], econ.horizon - bundle.times[k], inner, seeds[idx], cons)
-            wealth = c[:, k] * a_hat + c_hat
-            spend = (xi[:, : k + 1] * c[:, : k + 1]) @ _trap_w(k, bundle.dt) if k else 0.0
-            stat = xi[:, k] * wealth + spend
-            _close(rep.values[idx], stat.mean())
-            _close(rep.standard_errors[idx], stat.std(ddof=1) / math.sqrt(stat.size))
-            if idx == 0:
-                _close(rep.wealth_at_zero, wealth.mean())
-
     @given(walk=st.sampled_from([("euler", "P"), ("euler", "QU"), ("euler", "benchmark"),
                                  ("exact", "P"), ("exact", "benchmark")]), **draws)
     @settings(max_examples=20, deadline=None)
@@ -273,7 +245,7 @@ class TestRowsMatchFullPaths:
 
 
 @pytest.mark.parametrize("sums", [True, False], ids=["sums", "state_only"])
-@pytest.mark.parametrize("source", ["memo", "fresh", "exact", "nested"])
+@pytest.mark.parametrize("source", ["memo", "fresh", "exact"])
 def test_walk_never_writes_an_array_it_handed_out(source, sums):
     # keep every step's v, vp, root and dw with a copy taken at hand-out: a
     # walk that reuses a handed-out array as a buffer changes a kept one
@@ -281,10 +253,6 @@ def test_walk_never_writes_an_array_it_handed_out(source, sums):
     sim = SimConfig(n_paths=16, steps_per_year=24, seed=4, antithetic=False)
     if source == "memo":
         chunk = next(dynamics._iter_chunks(dynamics._SimContext(econ, sim, econ.horizon)))
-    elif source == "nested":
-        ctx, gen = dynamics._SimContext(econ, sim, econ.horizon), np.random.default_rng(4)
-        chunk = dynamics._Chunk(ctx, 16, v0=np.linspace(0.0, 0.2, 16),
-                                draw=lambda k: math.sqrt(ctx.dt) * gen.standard_normal(16))
     else:
         chunk = dynamics._one_chunk(econ, dataclasses.replace(
             sim, scheme="exact" if source == "exact" else "euler"))
@@ -295,6 +263,28 @@ def test_walk_never_writes_an_array_it_handed_out(source, sums):
     assert len(kept) == 1 + len(names) * chunk.n_steps
     for j, (held, at_hand_out) in enumerate(kept):
         assert np.array_equal(held, at_hand_out), j
+
+
+def test_walk_clips_at_the_zero_boundary():
+    # a state started near zero with mu_v = sigma_v**2 / 2 crosses zero: the
+    # clipped states are exactly 0, and the walk with its running sums gives
+    # the stored full paths and the full-truncation recursion bit for bit
+    econ = heterogeneous_economy()
+    vol = dataclasses.replace(econ.vol, v0=0.01, mu_v=0.5 * econ.vol.sigma_v**2)
+    econ = dataclasses.replace(econ, vol=vol)
+    assert validate(econ).passed
+    sim = SimConfig(n_paths=64, steps_per_year=252, seed=4, antithetic=False)
+    bundle = dynamics.simulate(econ, sim)
+    chunk = dynamics._one_chunk(econ, sim)
+    walked = np.stack([chunk.v.copy() for _ in chunk.walk()], axis=1)
+    assert np.array_equal(walked, bundle.v)
+    assert np.count_nonzero(bundle.v == 0.0) >= 1
+    x = np.full(chunk.m, vol.v0)
+    for k in range(chunk.n_steps):
+        vp = np.maximum(x, 0.0)
+        x = x + (vol.mu_v + vol.kappa_v * vp) * chunk.dt \
+            + vol.sigma_v * np.sqrt(vp) * bundle.dW[:, k]
+        assert np.array_equal(bundle.v[:, k + 1], np.maximum(x, 0.0)), k
 
 
 def _full_clearing(bundle) -> np.ndarray:
@@ -372,14 +362,8 @@ class TestPathwiseReports:
         i = n_investors - 1 if last else 0
         for (got,), _, bundle in _walked(dynamics._clearing_plan(econ, sim)):
             _roundoff_close(got, _full_clearing(bundle))
-        g = dynamics._foc_coeffs(dynamics.require_valid(econ), econ.investors[i])
-        for (got,), chunk, bundle in _walked(dynamics._foc_plan(econ, sim, i)):
-            r_ins = _full_foc(bundle, i, c0, raw=False)
-            _roundoff_close(got, np.abs(r_ins).max(axis=1))
-            # foc_order's row: the same coefficients at the horizon
-            (end,) = dynamics._walk_rows(chunk, [lambda ch: dynamics._then(
-                ch, lambda ch: dynamics._affine_residual(ch, g, 1.0))])
-            _roundoff_close(end, np.abs(r_ins[:, -1]))
+        for (got,), _, bundle in _walked(dynamics._foc_plan(econ, sim, i)):
+            _roundoff_close(got, np.abs(_full_foc(bundle, i, c0, raw=False)).max(axis=1))
 
     @given(**pathwise)
     @settings(max_examples=20, deadline=None)
@@ -430,20 +414,24 @@ class TestPathwiseReports:
     @given(**draws)
     @settings(max_examples=10, deadline=None)
     def test_order_levels_equal_full_paths(self, seed, antithetic, chunk_size):
-        econ, sim, _, _ = _case(seed, antithetic, chunk_size, steps_per_year=6)
-        rep = foc_order(econ, sim, investor=-1, doublings=2)
-        i = econ.n_investors - 1
-        ctxs = [dynamics._SimContext(econ, dataclasses.replace(sim, steps_per_year=6 * 2**k),
-                                     econ.horizon) for k in range(3)]
+        # the weak-order study's coupled levels: each coarse grid sums the
+        # finest increments, and each level's mean is the full paths' discount
+        econ, sim, _, sol = _case(seed, antithetic, chunk_size, steps_per_year=6)
+        U = econ.horizon
+        rep = weak_convergence_study(econ, U, sim, doublings=2)
+        qmin = dataclasses.replace(sim, measure="Qmin")
+        ctxs = [dynamics._SimContext(econ, dataclasses.replace(qmin, steps_per_year=6 * 2**k), U)
+                for k in range(3)]
         sums, n = np.zeros(3), 0
         for chunk in dynamics._iter_chunks(ctxs[-1]):
             for level, ctx in enumerate(ctxs):
                 factor = 2 ** (2 - level)
                 lv = chunk if factor == 1 else dynamics._coarse(ctx, chunk.dW, factor)
-                r_ins = _full_foc(dynamics._bundle(lv), i, 0.0, raw=False)
-                sums[level] += float(np.abs(r_ins[:, -1]).sum())
+                sums[level] += float(np.exp(-dynamics._bundle(lv).int_rate()[:, -1]).sum())
             n += chunk.m
-        _roundoff_close(rep.residuals, sums / n)
+        means = sums / n
+        _roundoff_close(rep.biases, means - bond_price(sol, 0.0, U, econ.vol.v0))
+        _roundoff_close(rep.level_diffs, np.abs(np.diff(means)))
         assert rep.steps_per_year == (6, 12, 24)
 
 
@@ -554,8 +542,6 @@ _WALKED = [
     lambda econ: terminal.verify_terminal_clearing(econ, _SIM),
     lambda econ: verify_clearing(econ, _SIM),
     lambda econ: verify_foc(econ, _SIM, investor=1),
-    lambda econ: foc_order(econ, _SIM, doublings=2),
-    lambda econ: verify_budget_martingale(econ, _SIM, inner_paths=8),
 ]
 
 
@@ -564,7 +550,7 @@ _WALKED = [
     _WALKED,
     ids=["martingale_checks", "solve_multipliers", "mc_bond_price", "mc_annuity",
          "verify_forward_measure", "mc_risk_premium", "verify_terminal_clearing",
-         "verify_clearing", "verify_foc", "foc_order", "verify_budget_martingale"],
+         "verify_clearing", "verify_foc"],
 )
 def test_walked_estimators_build_no_full_paths(monkeypatch, check):
     for name in ("int_rate", "xi_min", "log_density_min", "int_v", "int_sqrt_v_dW", "__init__"):

@@ -17,7 +17,6 @@ from conftest import heterogeneous_economy, reference_economy
 from ivoleq import dynamics
 from ivoleq.dynamics import (
     SimConfig,
-    foc_order,
     martingale_checks,
     mc_annuity,
     mc_bond_price,
@@ -25,7 +24,6 @@ from ivoleq.dynamics import (
     mc_state_mean,
     simulate,
     solve_multipliers,
-    verify_budget_martingale,
     verify_clearing,
     verify_foc,
     verify_forward_measure,
@@ -84,8 +82,8 @@ class TestTerminalDrawsNoIncrements:
         assert rep.max_residual <= rep.dt
 
 
-def test_foc_order_draws_no_increments(monkeypatch):
-    # neither foc_order nor verify_foc draws dZ: both read one coefficient row
+def test_verify_foc_draws_no_increments(monkeypatch):
+    # verify_foc draws no dZ: it reads one coefficient row
     simulate_chunk = dynamics._simulate_chunk
 
     def without_idiosyncratic_stream(ctx, seed, m):
@@ -94,22 +92,16 @@ def test_foc_order_draws_no_increments(monkeypatch):
         return chunk
 
     monkeypatch.setattr(dynamics, "_simulate_chunk", without_idiosyncratic_stream)
-    rep = foc_order(heterogeneous_economy(), _sim(steps_per_year=16), doublings=2)
-    assert rep.order > 0.5
     for investor in (0, 1):
         rep = verify_foc(heterogeneous_economy(), _sim(), investor=investor)
         assert rep.max_insured <= rep.dt
 
 
 class TestInvestorIndex:
-    """``investor``, and the budget check's checkpoints and inner path count,
-    are resolved before any path is drawn."""
+    """``investor`` is resolved before any path is drawn."""
 
     CHECKS = {
         "verify_foc": lambda econ, i: verify_foc(econ, _sim(), investor=i),
-        "foc_order": lambda econ, i: foc_order(econ, _sim(steps_per_year=16), investor=i),
-        "verify_budget_martingale": lambda econ, i: verify_budget_martingale(
-            econ, _sim(n_paths=16, steps_per_year=12), investor=i, inner_paths=8),
     }
 
     @pytest.mark.parametrize("name", CHECKS)
@@ -130,29 +122,6 @@ class TestInvestorIndex:
         message = f"investor {investor} is out of range for 2 investors"
         with pytest.raises(ValueError, match=message):
             self.CHECKS[name](heterogeneous_economy(), investor)
-
-    @pytest.mark.parametrize("checkpoint", [-0.25, 1.5])
-    def test_checkpoint_outside_the_horizon_is_refused_before_drawing(self, monkeypatch,
-                                                                      checkpoint):
-        def refuse(*args):
-            raise AssertionError("paths were drawn for an invalid checkpoint")
-
-        monkeypatch.setattr(dynamics, "_simulate_chunk", refuse)
-        econ = heterogeneous_economy()
-        assert econ.horizon == 1.0
-        with pytest.raises(ValueError, match=rf"checkpoint {checkpoint} is outside \[0, 1.0\]"):
-            verify_budget_martingale(econ, _sim(n_paths=16, steps_per_year=12),
-                                     checkpoints=(0.5, checkpoint), inner_paths=8)
-
-    @pytest.mark.parametrize("inner_paths", [0, -3])
-    def test_inner_paths_below_one_is_refused_before_drawing(self, monkeypatch, inner_paths):
-        def refuse(*args):
-            raise AssertionError("paths were drawn for an invalid inner path count")
-
-        monkeypatch.setattr(dynamics, "_simulate_chunk", refuse)
-        with pytest.raises(ValueError, match=f"inner_paths must be at least 1, got {inner_paths}"):
-            verify_budget_martingale(heterogeneous_economy(), _sim(n_paths=16, steps_per_year=12),
-                                     inner_paths=inner_paths)
 
 
 class TestSharedChunkLoop:
@@ -296,7 +265,6 @@ _ESTIMATORS = {
     "solve_multipliers": solve_multipliers,
     "verify_clearing": verify_clearing,
     "verify_foc": verify_foc,
-    "foc_order": lambda econ, sim: foc_order(econ, replace(sim, steps_per_year=16)),
     "weak_convergence_study": lambda econ, sim: weak_convergence_study(
         econ, 0.5, replace(sim, steps_per_year=8)),
     "verify_terminal_clearing": verify_terminal_clearing,
